@@ -32,7 +32,7 @@ from .buffer_objects import BufferObject
 from .errors import ErrorState, SimulatorLimitation
 from .framebuffer import DefaultFramebuffer, FramebufferObject
 from .limits import VIDEOCORE_IV_LIMITS, DeviceLimits
-from .pipeline import VertexAttribState, execute_draw
+from .pipeline import LaunchPlanMemo, VertexAttribState, execute_draw
 from .precision import FloatModel, make_model
 from .shader import Program, Shader
 from .texture import Texture
@@ -42,6 +42,9 @@ _INDEX_DTYPES = {
     enums.GL_UNSIGNED_SHORT: np.uint16,
     enums.GL_UNSIGNED_INT: np.uint32,  # OES_element_index_uint
 }
+
+#: The primitive modes of ES 2.0 §2.6.1 (GL_POINTS .. GL_TRIANGLE_FAN).
+_DRAW_MODES = frozenset(range(enums.GL_POINTS, enums.GL_TRIANGLE_FAN + 1))
 
 
 class GLES2Context:
@@ -96,6 +99,9 @@ class GLES2Context:
         self.shade_workers = shade_workers
         self.error_state = ErrorState(strict=strict_errors)
         self.stats = ContextStats()
+        #: Memoised pre-shade stages of this context's draws (see
+        #: pipeline.LaunchPlanMemo); released with the context.
+        self._launch_plans = LaunchPlanMemo()
         # Baseline snapshots of the process-wide disk-cache and
         # fault-path counters: per-context stats report the deltas
         # accrued while this context was doing the compiling/drawing.
@@ -1062,6 +1068,9 @@ class GLES2Context:
     # Drawing
     # ==================================================================
     def glDrawArrays(self, mode: int, first: int, count: int) -> None:
+        if mode not in _DRAW_MODES:
+            self._error(enums.GL_INVALID_ENUM, "glDrawArrays mode")
+            return
         if count < 0 or first < 0:
             self._error(enums.GL_INVALID_VALUE, "glDrawArrays")
             return
@@ -1069,6 +1078,9 @@ class GLES2Context:
         self._draw(mode, index_stream)
 
     def glDrawElements(self, mode: int, count: int, type_: int, indices) -> None:
+        if mode not in _DRAW_MODES:
+            self._error(enums.GL_INVALID_ENUM, "glDrawElements mode")
+            return
         if count < 0:
             self._error(enums.GL_INVALID_VALUE, "glDrawElements")
             return
@@ -1121,6 +1133,7 @@ class GLES2Context:
                 scissor=self._active_scissor(),
                 tile_size=self.tile_size,
                 shade_workers=self.shade_workers,
+                plans=self._launch_plans,
             )
             if sp is not None:
                 from ..perf.gpu_model import GpuModel

@@ -17,6 +17,7 @@ because they quantise *in the shader* and emit exact multiples of
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from ..glsl.interp import Interpreter
 from ..glsl.ir import IRExecutor
+from ..glsl.types import BOOL, VEC2, VEC4
 from ..glsl.values import Value
 from ..perf import trace
 from ..perf.counters import DrawStats, OpCounters
@@ -166,6 +168,241 @@ def _normalize_attribute(data: np.ndarray, state: VertexAttribState) -> np.ndarr
 
 
 # ----------------------------------------------------------------------
+# Launch plans: the memoised pre-shade stage
+# ----------------------------------------------------------------------
+#: Capacity of one context's launch-plan memo, in fragments summed
+#: over the plans it holds.  A plan costs about 33 bytes per fragment
+#: for the GPGPU quad under a float32 model (flat index, facing flag,
+#: gl_FragCoord and one vec2 varying), so a full memo stays under
+#: 10 MB.  Least recently used plans are evicted first; a draw larger
+#: than the whole budget is never memoised.
+PLAN_FRAGMENT_BUDGET = 1 << 18
+
+#: Draws that reference more vertices than this bypass the memo.  A
+#: GPGPU launch is a 6-vertex quad; a per-element vertex stream (the
+#: ``VertexKernel`` GL_POINTS scatter) changes with every launch's
+#: data, so keying it would cost a copy of the stream and evict the
+#: quads for a plan that never hits.
+PLAN_MAX_VERTICES = 64
+
+
+@dataclass
+class LaunchPlan:
+    """What the fragment stage and the framebuffer write need from one
+    draw's pre-shade stage (attribute fetch, vertex shading, viewport
+    transform, assembly, rasterisation, varying interpolation).
+
+    The vertex stage's counters are kept so a hit charges exactly what
+    shading it would have charged.
+    """
+
+    #: (F,) framebuffer index ``py * fb_width + px`` of each fragment.
+    flat: np.ndarray
+    fb_width: int
+    #: Fragment-stage inputs (interpolated varyings, gl_FragCoord,
+    #: gl_FrontFacing, gl_PointCoord) as name -> (type, data); the
+    #: arrays are read-only because every draw that hits shares them.
+    presets: Dict[str, tuple]
+    vertex_invocations: int
+    vertex_counts: Dict[str, int]
+    #: (texture_gathers, gather_fallbacks) of the vertex stage.
+    vertex_gathers: Tuple[int, int]
+    #: tile size -> raster.partition_tiles result, built on demand.
+    tiles: Dict[int, list] = field(default_factory=dict)
+
+    @property
+    def count(self) -> int:
+        return self.flat.shape[0]
+
+    @property
+    def px(self) -> np.ndarray:
+        return self.flat % self.fb_width
+
+    @property
+    def py(self) -> np.ndarray:
+        return self.flat // self.fb_width
+
+    def tile_partition(self, tile_size: int) -> list:
+        parts = self.tiles.get(tile_size)
+        if parts is None:
+            parts = self.tiles[tile_size] = raster.partition_tiles(
+                self, tile_size
+            )
+        return parts
+
+
+class LaunchPlanMemo:
+    """One GL context's launch plans, keyed on the exact content of
+    every pre-shade input (see :func:`_plan_key`) and bounded by
+    :data:`PLAN_FRAGMENT_BUDGET`."""
+
+    def __init__(self):
+        self._plans: "OrderedDict[tuple, LaunchPlan]" = OrderedDict()
+        #: Fragments held, summed over the plans.
+        self.fragments = 0
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key: tuple) -> Optional[LaunchPlan]:
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._plans.move_to_end(key)
+        return plan
+
+    def put(self, key: tuple, plan: LaunchPlan) -> None:
+        if plan.count > PLAN_FRAGMENT_BUDGET:
+            return
+        self._plans[key] = plan
+        self.fragments += plan.count
+        while self.fragments > PLAN_FRAGMENT_BUDGET:
+            __, evicted = self._plans.popitem(last=False)
+            self.fragments -= evicted.count
+
+
+def _plan_key(program, fetched, uniforms, index_stream, mode, viewport,
+              fb_size, scissor, float_model, backend, loop_cap):
+    """The memo key of one draw's pre-shade stage, or None when the
+    draw cannot be memoised: the vertex shader has no source digest or
+    samples a texture (texel contents are not part of the key)."""
+    vertex = program.vertex
+    digest = getattr(vertex, "source_digest", None)
+    if digest is None:
+        return None
+    model = (type(float_model).__qualname__, np.dtype(float_model.dtype).str,
+             tuple(sorted(vars(float_model).items())))
+    parts = [digest, model, backend, loop_cap, mode,
+             index_stream.dtype.str, index_stream.tobytes(), viewport,
+             fb_size, scissor, tuple(program.varying_types)]
+    for symbol in vertex.active_uniforms():
+        if not _append_value_bytes(parts, uniforms[symbol.name]):
+            return None
+    parts.extend(data.tobytes() for data in fetched)
+    return tuple(parts)
+
+
+def _append_value_bytes(parts: list, value: Value) -> bool:
+    if value.fields is not None:
+        return all(_append_value_bytes(parts, sub)
+                   for sub in value.fields.values())
+    if value.data is None:
+        return False  # a sampler
+    parts.append(value.data.tobytes())
+    return True
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _build_plan(program, shader_executor, fetched, uniforms, index_stream,
+                vertex_count, mode, viewport, fb_width, fb_height, scissor,
+                float_model, max_loop_iterations) -> LaunchPlan:
+    """Run the pre-shade stage of one draw (the memo-miss path)."""
+    vs_presets: Dict[str, Value] = dict(uniforms)
+    for symbol, data in zip(program.vertex.active_attributes(), fetched):
+        gtype = symbol.type
+        data = data[:, :gtype.component_count()].astype(float_model.dtype)
+        if gtype.is_scalar():
+            data = data[:, 0]
+        vs_presets[symbol.name] = Value(gtype, data)
+
+    vertex_ops = OpCounters()
+    vs_interp = shader_executor(
+        program.vertex,
+        float_model=float_model,
+        counters=vertex_ops,
+        max_loop_iterations=max_loop_iterations,
+    )
+    with trace.span("draw.vertex", "draw", {"vertices": vertex_count}):
+        vs_env = vs_interp.execute(vertex_count, vs_presets)
+
+    position = vs_env.get("gl_Position")
+    if position is None:
+        raise SimulatorLimitation("vertex shader did not produce gl_Position")
+    positions_clip = np.broadcast_to(
+        position.data.astype(np.float64), (vertex_count, 4)
+    )
+
+    with trace.span("draw.raster", "draw") as sp:
+        window, w_clip = raster.viewport_transform(positions_clip, viewport)
+        if mode == enums.GL_POINTS:
+            batch = raster.rasterize_points(
+                window, w_clip, index_stream, fb_width, fb_height
+            )
+            if scissor is not None:
+                batch = raster.apply_scissor(batch, scissor)
+        elif mode in (enums.GL_LINES, enums.GL_LINE_STRIP, enums.GL_LINE_LOOP):
+            segments = raster.assemble_lines(mode, index_stream)
+            batch = raster.rasterize_lines(
+                window, w_clip, segments, fb_width, fb_height
+            )
+            if scissor is not None:
+                batch = raster.apply_scissor(batch, scissor)
+        else:
+            triangles = raster.assemble_triangles(mode, index_stream)
+            batch = raster.rasterize_triangles(
+                window, w_clip, triangles, fb_width, fb_height,
+                scissor=scissor,
+            )
+        if sp is not None:
+            sp.args["fragments"] = batch.count
+
+    # The barycentrics and vertex ids die here: the plan keeps only
+    # what the fragment stage reads.
+    dtype = float_model.dtype
+    presets: Dict[str, tuple] = {}
+    with trace.span(
+        "draw.varyings", "draw",
+        {"varyings": len(program.varying_types), "fragments": batch.count},
+    ):
+        for name, gtype in program.varying_types.items():
+            per_vertex = vs_env[name].data
+            if (per_vertex.shape[0] != vertex_count
+                    or per_vertex.dtype != np.float64):
+                # Uniform-width or reduced-precision vertex outputs
+                # need a widen + float64 upcast; outputs already at
+                # full vertex width in float64 (the exact-model GPGPU
+                # case) are used as-is — the broadcast + astype copy
+                # is pure per-launch overhead.
+                per_vertex = np.broadcast_to(
+                    per_vertex.astype(np.float64),
+                    (vertex_count,) + per_vertex.shape[1:],
+                )
+            interpolated = raster.interpolate_varying(batch, per_vertex)
+            presets[name] = (gtype, _frozen(interpolated.astype(dtype)))
+
+    frag_coord = np.empty((batch.count, 4), dtype=dtype)
+    frag_coord[:, 0] = batch.px + 0.5
+    frag_coord[:, 1] = batch.py + 0.5
+    frag_coord[:, 2] = batch.frag_z
+    frag_coord[:, 3] = batch.frag_w
+    presets["gl_FragCoord"] = (VEC4, _frozen(frag_coord))
+    presets["gl_FrontFacing"] = (BOOL, _frozen(batch.front))
+    presets["gl_PointCoord"] = (
+        VEC2, np.broadcast_to(np.zeros(2, dtype=dtype), (batch.count, 2))
+    )
+    return LaunchPlan(
+        flat=_frozen(batch.py * fb_width + batch.px),
+        fb_width=fb_width,
+        presets=presets,
+        vertex_invocations=vertex_count,
+        vertex_counts=vertex_ops.snapshot(),
+        vertex_gathers=(getattr(vs_interp, "texture_gathers", 0),
+                        getattr(vs_interp, "gather_fallbacks", 0)),
+    )
+
+
+def _jit_fallback_count(execution_backend: str) -> int:
+    if execution_backend != "jit":
+        return 0
+    from ..glsl import jit
+
+    return jit.jit_fallbacks
+
+
+# ----------------------------------------------------------------------
 # Draw execution
 # ----------------------------------------------------------------------
 #: Default edge length of a fragment tile when tiling engages
@@ -195,9 +432,10 @@ def execute_draw(
     scissor: Optional[Tuple[int, int, int, int]] = None,
     tile_size: Optional[int] = None,
     shade_workers: int = 0,
+    plans: Optional[LaunchPlanMemo] = None,
 ) -> DrawStats:
     """Run the full pipeline for one draw call, writing into
-    ``color_buffer`` (an (H, W, 4) uint8 array) in place.
+    ``color_buffer`` (a C-contiguous (H, W, 4) uint8 array) in place.
 
     ``execution_backend`` selects how shaders run: ``"ast"`` walks the
     typed AST (the reference vectorised semantics), ``"ir"`` executes
@@ -212,7 +450,12 @@ def execute_draw(
     ``shade_workers`` could use it and the draw is large); merged
     results are bit-identical to the monolithic path.  ``shade_workers``
     > 0 fans independent tiles across a process pool for the JIT
-    backend (in-process tiled shading otherwise)."""
+    backend (in-process tiled shading otherwise).
+
+    ``plans`` is the owning context's launch-plan memo (None = no
+    memo): a draw whose pre-shade inputs match an earlier draw's byte
+    for byte reuses that draw's :class:`LaunchPlan` and runs only the
+    fragment stage and the write."""
     if execution_backend == "ir":
         shader_executor = IRExecutor
     elif execution_backend == "jit":
@@ -230,116 +473,64 @@ def execute_draw(
         return stats
 
     fb_height, fb_width = color_buffer.shape[0], color_buffer.shape[1]
-
-    # ------------------------------------------------------------------
-    # 1. Attribute fetch + vertex shading.  We shade the full range of
-    # referenced vertices once (real hardware caches post-transform
-    # vertices similarly).
-    # ------------------------------------------------------------------
-    max_index = int(index_stream.max())
     uniforms = program.build_uniform_values(resolve_sampler)
     _cast_uniform_floats(uniforms, float_model.dtype)
 
-    vs_presets: Dict[str, Value] = dict(uniforms)
-    from ..glsl.types import FLOAT, VEC2, VEC3, VEC4
-
-    vec_types = {1: FLOAT, 2: VEC2, 3: VEC3, 4: VEC4}
-    for symbol in program.vertex.active_attributes():
-        location = program.attribute_locations[symbol.name]
-        state = attribs.get(location, VertexAttribState())
-        fetched = fetch_attribute(state, max_index)
-        gtype = symbol.type
-        comps = gtype.component_count()
-        data = fetched[:, :comps].astype(float_model.dtype)
-        if gtype.is_scalar():
-            data = data[:, 0]
-        vs_presets[symbol.name] = Value(gtype, data)
-
-    vertex_count = max_index + 1
-    vs_interp = shader_executor(
-        program.vertex,
-        float_model=float_model,
-        counters=stats.vertex_ops,
-        max_loop_iterations=max_loop_iterations,
-    )
-    with trace.span("draw.vertex", "draw", {"vertices": vertex_count}):
-        vs_env = vs_interp.execute(vertex_count, vs_presets)
-    stats.vertex_invocations = vertex_count
-
-    position = vs_env.get("gl_Position")
-    if position is None:
-        raise SimulatorLimitation("vertex shader did not produce gl_Position")
-    positions_clip = np.broadcast_to(
-        position.data.astype(np.float64), (vertex_count, 4)
-    )
-
     # ------------------------------------------------------------------
-    # 2. Primitive assembly + rasterisation.
+    # 1. The pre-shade stage: a memoised launch plan, or attribute
+    # fetch, vertex shading (the full range of referenced vertices,
+    # once — real hardware caches post-transform vertices similarly),
+    # assembly, rasterisation and varying interpolation.
     # ------------------------------------------------------------------
-    with trace.span("draw.raster", "draw") as sp:
-        window, w_clip = raster.viewport_transform(positions_clip, viewport)
-        if mode == enums.GL_POINTS:
-            batch = raster.rasterize_points(
-                window, w_clip, index_stream, fb_width, fb_height
+    vertex_count = int(index_stream.max()) + 1
+    fetched = [
+        fetch_attribute(
+            attribs.get(program.attribute_locations[symbol.name],
+                        VertexAttribState()),
+            vertex_count - 1,
+        )
+        for symbol in program.vertex.active_attributes()
+    ]
+    key = plan = None
+    if plans is not None and vertex_count <= PLAN_MAX_VERTICES:
+        with trace.span("draw.plan", "draw") as sp:
+            key = _plan_key(
+                program, fetched, uniforms, index_stream, mode, viewport,
+                (fb_width, fb_height), scissor, float_model,
+                execution_backend, max_loop_iterations,
             )
-            if scissor is not None:
-                batch = raster.apply_scissor(batch, scissor)
-        elif mode in (enums.GL_LINES, enums.GL_LINE_STRIP, enums.GL_LINE_LOOP):
-            segments = raster.assemble_lines(mode, index_stream)
-            batch = raster.rasterize_lines(
-                window, w_clip, segments, fb_width, fb_height
-            )
-            if scissor is not None:
-                batch = raster.apply_scissor(batch, scissor)
-        else:
-            triangles = raster.assemble_triangles(mode, index_stream)
-            batch = raster.rasterize_triangles(
-                window, w_clip, triangles, fb_width, fb_height,
-                scissor=scissor,
-            )
-        if sp is not None:
-            sp.args["fragments"] = batch.count
-    if batch.count == 0:
+            if key is not None:
+                plan = plans.get(key)
+            if sp is not None:
+                sp.args["hit"] = plan is not None
+                sp.args["fragments"] = (
+                    plan.count if plan is not None else None
+                )
+    if plan is None:
+        fallbacks = _jit_fallback_count(execution_backend)
+        plan = _build_plan(
+            program, shader_executor, fetched, uniforms, index_stream,
+            vertex_count, mode, viewport, fb_width, fb_height, scissor,
+            float_model, max_loop_iterations,
+        )
+        # A vertex stage that fell back from the JIT is not memoised,
+        # so no hit ever skips a fallback the counters would show.
+        if (key is not None
+                and _jit_fallback_count(execution_backend) == fallbacks):
+            plans.put(key, plan)
+    stats.vertex_invocations = plan.vertex_invocations
+    for category, ops in plan.vertex_counts.items():
+        stats.vertex_ops.add(category, ops)
+    count = plan.count
+    if count == 0:
         return stats
 
     # ------------------------------------------------------------------
-    # 3. Varying interpolation + fragment shading.
+    # 2. Fragment shading.
     # ------------------------------------------------------------------
     fs_presets: Dict[str, Value] = dict(uniforms)
-    with trace.span(
-        "draw.varyings", "draw",
-        {"varyings": len(program.varying_types), "fragments": batch.count},
-    ):
-        for name, gtype in program.varying_types.items():
-            per_vertex = vs_env[name].data
-            if (per_vertex.shape[0] != vertex_count
-                    or per_vertex.dtype != np.float64):
-                # Uniform-width or reduced-precision vertex outputs
-                # need a widen + float64 upcast; outputs already at
-                # full vertex width in float64 (the exact-model GPGPU
-                # case) are used as-is — the broadcast + astype copy
-                # is pure per-launch overhead.
-                per_vertex = np.broadcast_to(
-                    per_vertex.astype(np.float64),
-                    (vertex_count,) + per_vertex.shape[1:],
-                )
-            interpolated = raster.interpolate_varying(batch, per_vertex)
-            fs_presets[name] = Value(
-                gtype, interpolated.astype(float_model.dtype)
-            )
-
-    frag_coord = np.empty((batch.count, 4), dtype=float_model.dtype)
-    frag_coord[:, 0] = batch.px + 0.5
-    frag_coord[:, 1] = batch.py + 0.5
-    frag_coord[:, 2] = batch.frag_z
-    frag_coord[:, 3] = batch.frag_w
-    from ..glsl.types import BOOL as _BOOL, VEC4 as _VEC4, VEC2 as _VEC2
-
-    fs_presets["gl_FragCoord"] = Value(_VEC4, frag_coord)
-    fs_presets["gl_FrontFacing"] = Value(_BOOL, batch.front)
-    fs_presets["gl_PointCoord"] = Value(
-        _VEC2, np.zeros((batch.count, 2), dtype=float_model.dtype)
-    )
+    for name, (gtype, data) in plan.presets.items():
+        fs_presets[name] = Value(gtype, data)
 
     fs_interp = shader_executor(
         program.fragment,
@@ -347,7 +538,7 @@ def execute_draw(
         counters=stats.fragment_ops,
         max_loop_iterations=max_loop_iterations,
     )
-    stats.fragment_invocations = batch.count
+    stats.fragment_invocations = count
     out_name = (
         "gl_FragData"
         if "gl_FragData" in program.fragment.written_builtins
@@ -357,61 +548,57 @@ def execute_draw(
     tile_indices = None
     if tile_size is not None and tile_size > 0:
         ts = tile_size
-    elif shade_workers > 0 and batch.count > AUTO_TILE_MIN_FRAGMENTS:
+    elif shade_workers > 0 and count > AUTO_TILE_MIN_FRAGMENTS:
         ts = DEFAULT_TILE_SIZE
     else:
         ts = 0
     if ts:
-        parts = raster.partition_tiles(batch, ts)
+        parts = plan.tile_partition(ts)
         if len(parts) > 1:
             tile_indices = parts
 
     with trace.span("draw.shade", "draw") as sp:
         if sp is not None:
             sp.args.update({
-                "fragments": batch.count,
+                "fragments": count,
                 "backend": execution_backend,
                 "tiles": len(tile_indices) if tile_indices else 1,
                 "workers": shade_workers,
             })
         if tile_indices is None:
-            fs_env = fs_interp.execute(batch.count, fs_presets)
-            color = _extract_color(fs_env, out_name, batch.count)
+            fs_env = fs_interp.execute(count, fs_presets)
+            color = _extract_color(fs_env, out_name, count)
             color = color.astype(np.float64)
             discarded = fs_interp.discarded
         else:
             color, discarded = _shade_tiled(
-                fs_interp, fs_presets, tile_indices, batch.count,
+                fs_interp, fs_presets, tile_indices, count,
                 out_name, execution_backend, shade_workers,
             )
 
-    keep = ~discarded
-    stats.discarded_fragments = int((~keep).sum())
     # Texture-gather tallies (JIT fast path; zero elsewhere).  Both
     # executors are draw-scoped, so their accumulated counts — across
     # tiles, and including worker contributions merged back by
     # parallel.shade_draw — are exactly this draw's totals.
     stats.texture_gathers = (
-        getattr(vs_interp, "texture_gathers", 0)
-        + getattr(fs_interp, "texture_gathers", 0)
+        plan.vertex_gathers[0] + getattr(fs_interp, "texture_gathers", 0)
     )
     stats.gather_fallbacks = (
-        getattr(vs_interp, "gather_fallbacks", 0)
-        + getattr(fs_interp, "gather_fallbacks", 0)
+        plan.vertex_gathers[1] + getattr(fs_interp, "gather_fallbacks", 0)
     )
 
     # ------------------------------------------------------------------
-    # 4. Output selection and framebuffer write (paper eq. (2)).
+    # 3. Output selection and framebuffer write (paper eq. (2)).
     # ------------------------------------------------------------------
-    with trace.span("draw.quantise", "draw", {"fragments": batch.count}):
+    with trace.span("draw.quantise", "draw", {"fragments": count}):
         quantised = quantize_color(color, quantization)
     if _capture_hook is not None:
         _capture_hook(
             FragmentCapture(
                 fragment_shader=program.fragment,
                 fs_presets=fs_presets,
-                px=batch.px.copy(),
-                py=batch.py.copy(),
+                px=plan.px,
+                py=plan.py,
                 discarded=discarded.copy(),
                 colors=color.copy(),
                 quantised=quantised.copy(),
@@ -419,12 +606,15 @@ def execute_draw(
             )
         )
     with trace.span("draw.write", "draw") as sp:
-        px = batch.px[keep]
-        py = batch.py[keep]
-        color_buffer[py, px] = quantised[keep]
+        flat = plan.flat
+        if discarded.any():
+            keep = ~discarded
+            flat, quantised = flat[keep], quantised[keep]
+        color_buffer.reshape(-1, 4)[flat] = quantised
         if sp is not None:
-            sp.args["writes"] = int(keep.sum())
-    stats.framebuffer_writes = int(keep.sum())
+            sp.args["writes"] = flat.shape[0]
+    stats.framebuffer_writes = flat.shape[0]
+    stats.discarded_fragments = count - flat.shape[0]
     return stats
 
 
@@ -549,4 +739,4 @@ def _cast_value(value: Value, dtype) -> None:
             _cast_value(sub, dtype)
         return
     if value.data is not None and np.issubdtype(value.data.dtype, np.floating):
-        value.data = value.data.astype(dtype)
+        value.data = value.data.astype(dtype, copy=False)

@@ -14,7 +14,6 @@ left, pixel centers at half-integer coordinates.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -169,23 +168,6 @@ def viewport_transform(
     return window, w_clip
 
 
-# Fragment-batch memo for the GPGPU steady state: kernel relaunches
-# redraw a byte-identical quad into the same framebuffer, so the
-# fixed-function rasterisation work repeats verbatim every launch.
-# The key is the exact byte content of every input, which makes a hit
-# bit-identical by construction; consumers never mutate a
-# FragmentBatch (fancy indexing copies), so sharing the arrays is
-# safe.  Oversized batches are not memoised to bound memory.
-_RASTER_MEMO: "OrderedDict[tuple, FragmentBatch]" = OrderedDict()
-_RASTER_MEMO_CAPACITY = 16
-_RASTER_MEMO_MAX_FRAGMENTS = 1 << 16
-
-
-def raster_memo_clear() -> None:
-    """Drop all memoised fragment batches (test isolation hook)."""
-    _RASTER_MEMO.clear()
-
-
 def rasterize_triangles(
     window: np.ndarray,
     w_clip: np.ndarray,
@@ -197,42 +179,7 @@ def rasterize_triangles(
     """Rasterise triangles given window-space vertices.
 
     Applies the top-left fill rule so shared edges shade exactly once.
-    Results are memoised on the full input content (see
-    ``_RASTER_MEMO``): relaunching the same GPGPU quad skips the
-    per-triangle scan entirely.
     """
-    key = (
-        np.ascontiguousarray(window).tobytes(),
-        np.ascontiguousarray(w_clip).tobytes(),
-        np.ascontiguousarray(triangles).tobytes(),
-        triangles.shape[0],
-        str(triangles.dtype),
-        fb_width,
-        fb_height,
-        scissor,
-    )
-    hit = _RASTER_MEMO.get(key)
-    if hit is not None:
-        _RASTER_MEMO.move_to_end(key)
-        return hit
-    batch = _rasterize_triangles(
-        window, w_clip, triangles, fb_width, fb_height, scissor
-    )
-    if batch.count <= _RASTER_MEMO_MAX_FRAGMENTS:
-        _RASTER_MEMO[key] = batch
-        while len(_RASTER_MEMO) > _RASTER_MEMO_CAPACITY:
-            _RASTER_MEMO.popitem(last=False)
-    return batch
-
-
-def _rasterize_triangles(
-    window: np.ndarray,
-    w_clip: np.ndarray,
-    triangles: np.ndarray,
-    fb_width: int,
-    fb_height: int,
-    scissor: Optional[Tuple[int, int, int, int]] = None,
-) -> FragmentBatch:
     all_px: List[np.ndarray] = []
     all_py: List[np.ndarray] = []
     all_ids: List[np.ndarray] = []

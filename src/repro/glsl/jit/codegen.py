@@ -318,11 +318,13 @@ def make_helpers(fmodel) -> Dict[str, object]:
         if data is not None:
             ix = x.astype(np.int64)
             iy = y.astype(np.int64)
-            if (ix.size > 0 and iy.size > 0
-                    and ix.min() >= 0 and iy.min() >= 0
-                    and ix.max() < data.shape[1]
-                    and iy.max() < data.shape[0]
-                    and np.array_equal(ix, x) and np.array_equal(iy, y)):
+            # One fused test: integral (the cast round-trips) and in
+            # range, where viewing the indices as unsigned turns a
+            # negative one into a huge one that fails the upper bound.
+            ok = ((ix == x) & (iy == y)
+                  & (ix.view(np.uint64) < data.shape[1])
+                  & (iy.view(np.uint64) < data.shape[0]))
+            if ok.size > 0 and ok.all():
                 _gst[0] += 1
                 # Same arithmetic as Texture.sample's NEAREST path:
                 # uint8 storage divided to [0, 1] in float64, then the

@@ -43,8 +43,9 @@ device     device.context (instant)
 compile    compile.shader, compile.ir, compile.jit
 upload     upload.texture, upload.buffer
 readback   readback.pixels
-draw       draw, draw.vertex, draw.raster, draw.varyings,
-           draw.shade, draw.shade.tile, draw.quantise, draw.write
+draw       draw, draw.plan, draw.vertex, draw.raster,
+           draw.varyings, draw.shade, draw.shade.tile, draw.merge,
+           draw.quantise, draw.write
 pool       pool.submit, pool.chunk, worker.materialize,
            worker.shade; instants pool.retry, pool.restart,
            pool.fallback

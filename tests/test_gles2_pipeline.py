@@ -219,6 +219,22 @@ class TestDrawValidation:
         with pytest.raises(GLError):
             ctx.glDrawArrays(gl.GL_TRIANGLES, 0, -1)
 
+    @pytest.mark.parametrize("entry", ["glDrawArrays", "glDrawElements"])
+    def test_invalid_mode_is_invalid_enum_and_draws_nothing(self, entry):
+        ctx = GLES2Context(width=4, height=4, strict_errors=False)
+        draw_quad(ctx, "void main() { gl_FragColor = vec4(1.0); }")
+        assert ctx.glGetError() == gl.GL_NO_ERROR
+        ctx.glClear(gl.GL_COLOR_BUFFER_BIT)
+        if entry == "glDrawArrays":
+            ctx.glDrawArrays(0x1234, 0, 6)
+        else:
+            ctx.glDrawElements(0x1234, 6, gl.GL_UNSIGNED_SHORT,
+                               np.arange(6, dtype=np.uint16))
+        assert ctx.glGetError() == gl.GL_INVALID_ENUM
+        assert len(ctx.stats.draws) == 1
+        pixels = ctx.glReadPixels(0, 0, 4, 4, gl.GL_RGBA, gl.GL_UNSIGNED_BYTE)
+        assert not pixels.any()
+
 
 class TestDrawElements:
     def test_indexed_quad(self):

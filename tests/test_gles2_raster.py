@@ -163,28 +163,223 @@ class TestAssembly:
         assert assemble_triangles(gl.GL_TRIANGLE_STRIP, np.arange(2)).shape == (0, 3)
 
 
-class TestRasterMemo:
-    def test_repeat_draw_hits_memo_and_matches(self):
-        from repro.gles2 import raster as raster_mod
+# ======================================================================
+# Launch-plan memo (pipeline.LaunchPlanMemo)
+# ======================================================================
+PLAN_VS = """
+attribute vec2 a_position;
+uniform vec2 u_offset;
+varying vec2 v_uv;
+void main() {
+    v_uv = a_position * 0.5 + 0.5;
+    gl_Position = vec4(a_position + u_offset, 0.0, 1.0);
+}
+"""
 
-        raster_mod.raster_memo_clear()
-        window, w, triangles = fullscreen_quad_window(8)
-        first = rasterize_triangles(window, w, triangles, 8, 8)
-        assert len(raster_mod._RASTER_MEMO) == 1
-        again = rasterize_triangles(window.copy(), w.copy(),
-                                    triangles.copy(), 8, 8)
-        assert again is first  # byte-identical inputs -> memoised batch
-        assert len(raster_mod._RASTER_MEMO) == 1
-        raster_mod.raster_memo_clear()
+PLAN_FS = """
+precision highp float;
+uniform float u_gain;
+varying vec2 v_uv;
+void main() {
+    if (gl_FragCoord.x < 2.0 && gl_FragCoord.y < 2.0) discard;
+    gl_FragColor = vec4(v_uv * u_gain, gl_FragCoord.x / 16.0, 1.0);
+}
+"""
 
-    def test_different_geometry_misses_memo(self):
-        from repro.gles2 import raster as raster_mod
+PLAN_QUAD = np.array(
+    [[-1, -1], [1, -1], [1, 1], [-1, -1], [1, 1], [-1, 1]], dtype=np.float32
+)
 
-        raster_mod.raster_memo_clear()
-        window, w, triangles = fullscreen_quad_window(8)
-        first = rasterize_triangles(window, w, triangles, 8, 8)
-        other_window, other_w, other_tris = fullscreen_quad_window(4)
-        other = rasterize_triangles(other_window, other_w, other_tris, 4, 4)
-        assert other is not first
-        assert other.count == 16 and first.count == 64
-        raster_mod.raster_memo_clear()
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Count memo misses: every miss runs pipeline._build_plan once."""
+    from repro.gles2 import pipeline
+
+    calls = []
+    real = pipeline._build_plan
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_build_plan", counting)
+    return calls
+
+
+def plan_context(backend="jit", size=8, **kwargs):
+    """A context with PLAN_VS/PLAN_FS linked and a private copy of the
+    quad bound as a client array."""
+    from repro.gles2 import GLES2Context
+
+    ctx = GLES2Context(width=size, height=size, execution_backend=backend,
+                       **kwargs)
+    shaders = []
+    for kind, source in ((gl.GL_VERTEX_SHADER, PLAN_VS),
+                         (gl.GL_FRAGMENT_SHADER, PLAN_FS)):
+        shader = ctx.glCreateShader(kind)
+        ctx.glShaderSource(shader, source)
+        ctx.glCompileShader(shader)
+        shaders.append(shader)
+    prog = ctx.glCreateProgram()
+    for shader in shaders:
+        ctx.glAttachShader(prog, shader)
+    ctx.glLinkProgram(prog)
+    ctx.glUseProgram(prog)
+    ctx.glUniform1f(ctx.glGetUniformLocation(prog, "u_gain"), 0.75)
+    quad = PLAN_QUAD.copy()
+    loc = ctx.glGetAttribLocation(prog, "a_position")
+    ctx.glEnableVertexAttribArray(loc)
+    ctx.glVertexAttribPointer(loc, 2, gl.GL_FLOAT, False, 0, quad)
+    ctx.glViewport(0, 0, size, size)
+    return ctx, prog, quad
+
+
+def plan_draw(ctx):
+    ctx.glDrawArrays(gl.GL_TRIANGLES, 0, 6)
+    fb = ctx._current_framebuffer().color_buffer()
+    return fb.copy()
+
+
+def draw_summary(draw):
+    return (
+        draw.vertex_invocations,
+        draw.fragment_invocations,
+        draw.discarded_fragments,
+        draw.framebuffer_writes,
+        draw.texture_gathers,
+        draw.gather_fallbacks,
+        draw.vertex_ops.snapshot(),
+        draw.fragment_ops.snapshot(),
+    )
+
+
+def bind_fbo(ctx, size):
+    (tex,) = ctx.glGenTextures(1)
+    ctx.glBindTexture(gl.GL_TEXTURE_2D, tex)
+    ctx.glTexImage2D(gl.GL_TEXTURE_2D, 0, gl.GL_RGBA, size, size, 0,
+                     gl.GL_RGBA, gl.GL_UNSIGNED_BYTE,
+                     np.zeros((size, size, 4), np.uint8))
+    (fbo,) = ctx.glGenFramebuffers(1)
+    ctx.glBindFramebuffer(gl.GL_FRAMEBUFFER, fbo)
+    ctx.glFramebufferTexture2D(gl.GL_FRAMEBUFFER, gl.GL_COLOR_ATTACHMENT0,
+                               gl.GL_TEXTURE_2D, tex, 0)
+
+
+def change_viewport(ctx, prog, quad):
+    ctx.glViewport(0, 0, 5, 6)
+
+
+def change_framebuffer_size(ctx, prog, quad):
+    # Same viewport, wider framebuffer: the fragments are the same
+    # pixels, but their flat framebuffer indices are not.
+    bind_fbo(ctx, 12)
+
+
+def change_scissor(ctx, prog, quad):
+    ctx.glEnable(gl.GL_SCISSOR_TEST)
+    ctx.glScissor(1, 2, 4, 3)
+
+
+def change_vertex_uniform(ctx, prog, quad):
+    ctx.glUniform2f(ctx.glGetUniformLocation(prog, "u_offset"), 0.25, -0.5)
+
+
+def mutate_client_array(ctx, prog, quad):
+    quad *= 0.5  # in place: same array object, new bytes
+
+
+class TestLaunchPlanMemo:
+    def test_hit_is_bit_identical_to_fresh_draw(self, plan_builds):
+        ctx, __, __ = plan_context()
+        first = plan_draw(ctx)
+        ctx.glClear(gl.GL_COLOR_BUFFER_BIT)
+        again = plan_draw(ctx)
+        assert len(plan_builds) == 1  # the second draw hit
+        fresh_ctx, __, __ = plan_context()
+        fresh = plan_draw(fresh_ctx)
+        assert again.tobytes() == first.tobytes() == fresh.tobytes()
+        hit, miss = ctx.stats.draws[1], fresh_ctx.stats.draws[0]
+        assert draw_summary(hit) == draw_summary(miss)
+        assert hit.discarded_fragments == 4
+
+    @pytest.mark.parametrize("change", [
+        change_viewport, change_framebuffer_size, change_scissor,
+        change_vertex_uniform, mutate_client_array,
+    ])
+    def test_key_misses_when_a_pre_shade_input_changes(self, plan_builds,
+                                                       change):
+        ctx, prog, quad = plan_context()
+        plan_draw(ctx)
+        ctx.glClear(gl.GL_COLOR_BUFFER_BIT)
+        change(ctx, prog, quad)
+        changed = plan_draw(ctx)
+        assert len(plan_builds) == 2
+        assert len(ctx._launch_plans) == 2
+        fresh_ctx, fresh_prog, fresh_quad = plan_context()
+        change(fresh_ctx, fresh_prog, fresh_quad)
+        assert plan_draw(fresh_ctx).tobytes() == changed.tobytes()
+        assert (draw_summary(ctx.stats.draws[1])
+                == draw_summary(fresh_ctx.stats.draws[0]))
+
+    @pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+    @pytest.mark.parametrize("tile_size,workers", [
+        (None, 0), (4, 0), (4, 2),
+    ])
+    def test_draw_stats_equal_on_hit_and_miss(self, plan_builds, backend,
+                                              tile_size, workers):
+        ctx, __, __ = plan_context(backend, tile_size=tile_size,
+                                   shade_workers=workers)
+        miss_fb = plan_draw(ctx)
+        hit_fb = plan_draw(ctx)
+        assert len(plan_builds) == 1
+        assert hit_fb.tobytes() == miss_fb.tobytes()
+        miss, hit = ctx.stats.draws
+        assert draw_summary(hit) == draw_summary(miss)
+
+    def test_fragment_budget_evicts_and_stays_bounded(self, plan_builds,
+                                                      monkeypatch):
+        from repro.gles2 import pipeline
+
+        monkeypatch.setattr(pipeline, "PLAN_FRAGMENT_BUDGET", 110)
+        ctx, __, __ = plan_context(size=12)
+        memo = ctx._launch_plans
+        for size in (8, 6, 4, 7):  # 64 + 36 + 16 + 49 fragments
+            ctx.glViewport(0, 0, size, size)
+            plan_draw(ctx)
+            assert memo.fragments <= 110
+        assert memo.fragments == 36 + 16 + 49
+        ctx.glViewport(0, 0, 8, 8)  # the oldest plan was evicted
+        plan_draw(ctx)
+        assert len(plan_builds) == 5
+        ctx.glViewport(0, 0, 11, 11)  # 121 > budget: never memoised
+        plan_draw(ctx)
+        plan_draw(ctx)
+        assert len(plan_builds) == 7
+        assert memo.fragments <= 110
+
+    def test_vertex_kernel_draws_bypass_the_memo(self, plan_builds):
+        from repro import GpgpuDevice
+        from repro.gles2.pipeline import PLAN_MAX_VERTICES
+
+        device = GpgpuDevice(float_model="exact", execution_backend="jit")
+        n = 2 * PLAN_MAX_VERTICES
+        kernel = device.vertex_kernel(
+            "plan_bypass", [("a", "int32")], "int32", "result = a + 1.0;"
+        )
+        values = np.arange(n, dtype=np.int32)
+        out = device.empty(n, "int32")
+        for __ in range(2):
+            kernel(out, {"a": values})
+            assert np.array_equal(out.to_host(), values + 1)
+        assert len(plan_builds) == 2
+        assert len(device.ctx._launch_plans) == 0
+
+    def test_two_contexts_do_not_share_plans(self, plan_builds):
+        first, __, __ = plan_context()
+        second, __, __ = plan_context()
+        plan_draw(first)
+        plan_draw(second)
+        assert len(plan_builds) == 2
+        assert len(first._launch_plans) == len(second._launch_plans) == 1
+        assert first._launch_plans is not second._launch_plans

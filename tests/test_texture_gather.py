@@ -14,8 +14,9 @@ contract:
   other and to the IR executor;
 * the ``texture_gathers`` / ``gather_fallbacks`` DrawStats counters
   account for every gather-site execution, including when a runtime
-  disqualification (wrap/filter/size mismatch) routes a site through
-  the full sampling path, and under tiled / multiprocess shading.
+  disqualification (wrap/filter/size mismatch, a non-integral or
+  out-of-range index) routes a site through the full sampling path,
+  and under tiled / multiprocess shading.
 """
 
 from __future__ import annotations
@@ -256,6 +257,33 @@ class TestFallbackAccounting:
         # degenerate (fx == fy == 0), so LINEAR agrees with NEAREST
         # here and the outputs still match.
         assert np.array_equal(baseline, fallback)
+
+    @pytest.mark.parametrize("x,y,gathered", [
+        ([0.0, 3.0], [1.0, 3.0], True),
+        ([0.5, 3.0], [1.0, 3.0], False),   # x not integral
+        ([0.0, 3.0], [1.0, 2.5], False),   # y not integral
+        ([0.0, 4.0], [1.0, 3.0], False),   # x past the right edge
+        ([0.0, 3.0], [4.0, 3.0], False),   # y past the top edge
+        ([-1.0, 3.0], [1.0, 3.0], False),  # x negative
+        ([0.0, 3.0], [1.0, -1.0], False),  # y negative
+        ([np.nan, 3.0], [1.0, 3.0], False),
+        ([], [], False),
+    ])
+    def test_index_disqualification_counts_fallback(self, x, y, gathered):
+        from repro.gles2.precision import make_model
+        from repro.glsl.jit.codegen import make_helpers
+
+        sampler = self._capture_identity().fs_presets["u_tex_x"].sampler
+        ns = make_helpers(make_model("ieee32"))
+        x = np.array(x, dtype=np.float32)
+        y = np.array(y, dtype=np.float32)
+        coords = (np.stack([x, y], axis=1) + 0.5) / 4.0
+        size = np.array([[4.0, 4.0]], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            texels = ns["_gather"](sampler, x, y, coords, size)
+            expected = ns["_tex"](sampler, coords, 0)
+        assert ns["_gst"] == ([1, 0] if gathered else [0, 1])
+        assert texels.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,26 @@ def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     assert _spans(recorder, name="readback.pixels")
 
 
+def test_launch_plan_hit_emits_one_plan_span(clean_recorder):
+    device = GpgpuDevice(float_model="exact", execution_backend="jit")
+    a = device.array(np.arange(16, dtype=np.int32))
+    out = device.empty(16, "int32")
+    kernel = device.kernel(
+        "tr_plan", [("a", "int32")], "int32", "result = a * 2.0;"
+    )
+    kernel(out, {"a": a})  # miss: builds the plan
+    recorder = trace.start()
+    kernel(out, {"a": a})  # same quad, viewport and framebuffer: hit
+    trace.stop(write=False)
+    assert np.array_equal(out.to_host(), np.arange(16) * 2)
+    (plan,) = _spans(recorder, name="draw.plan")
+    assert plan["args"] == {"hit": True, "fragments": 16}
+    for name in ("draw.vertex", "draw.raster", "draw.varyings"):
+        assert not _spans(recorder, name=name), name
+    for name in ("draw", "draw.shade", "draw.quantise", "draw.write"):
+        assert _spans(recorder, name=name), name
+
+
 def test_tiled_draw_emits_tile_spans(clean_recorder, monkeypatch):
     # In-process tiling on purpose (a CI leg exports REPRO_SHADE_WORKERS
     # globally, which would route this draw through the pool instead).
