@@ -44,11 +44,11 @@ class GpgpuDevice:
     machine:
         GPU timing parameters for :meth:`wall_time`.
     execution_backend:
-        ``"ast"`` (reference tree-walking interpreter), ``"ir"``
-        (compiled linear-IR executor, bit-identical and faster on
-        repeated launches) or ``"jit"`` (generated straight-line
-        numpy code per compiled program — fastest steady state;
-        falls back to the IR executor outside the JIT subset).
+        ``"ast"`` (reference tree-walking interpreter) or ``"jit"``
+        (generated straight-line numpy code per compiled program,
+        bit-identical and fastest in steady state; falls back to the
+        AST interpreter outside the JIT subset, charging the same
+        static op counts either way).
     tile_size:
         Fragment-tile edge in pixels; None selects the automatic
         policy (tile only when workers could use it and the draw is

@@ -500,8 +500,6 @@ def _fresh_program():
     program = CompiledProgram.__new__(CompiledProgram)
     program.checked = None
     program._const_cache = {}
-    program.linear = None
-    program.global_linear = None
     return program
 
 

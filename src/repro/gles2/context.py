@@ -65,19 +65,19 @@ class GLES2Context:
     ):
         if isinstance(float_model, str):
             float_model = make_model(float_model)
-        if execution_backend not in ("ast", "ir", "jit"):
+        if execution_backend not in ("ast", "jit"):
             raise ValueError(
                 f"unknown execution backend '{execution_backend}' "
-                "(expected 'ast', 'ir' or 'jit')"
+                "(expected 'ast' or 'jit')"
             )
         self.float_model = float_model
         self.quantization = quantization
         self.limits = limits
         self.max_loop_iterations = max_loop_iterations
         #: How shaders run: "ast" walks the typed AST (reference
-        #: semantics), "ir" executes the compiled linear IR, "jit"
-        #: runs generated straight-line numpy code (IR fallback for
-        #: constructs outside the JIT subset).
+        #: semantics), "jit" runs generated straight-line numpy code
+        #: from the optimised IR (AST fallback for constructs outside
+        #: the JIT subset).
         self.execution_backend = execution_backend
         # Tiled / multiprocess fragment shading knobs.  Constructor
         # arguments left unset fall back to the environment

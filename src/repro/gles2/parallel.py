@@ -30,14 +30,14 @@ cost rivals the scaling work, and per-tile invocation erases the
 entire parallel win).  Anything that cannot be shipped (program
 outside the JIT subset, unknown captured object) or any pool failure
 makes :func:`shade_draw` return ``None`` and the pipeline falls back
-to in-process tiled shading — the AST/IR backends always take that
-path.
+to in-process tiled shading — the AST backend always takes that path.
 
-Counter semantics: the leader charges the draw's op counters exactly
-as a monolithic ``JitExecutor.execute`` would (dynamic global-init
-tally plus the static per-invocation projection), but only after the
-workers succeed; a failed dispatch leaves the counters untouched so
-the in-process fallback can do its own accounting.
+Counter semantics: the leader binds the width-1 registers with
+:meth:`~repro.glsl.jit.JitExecutor.bind_globals` (counters muted) and
+charges the draw's static projection exactly as a monolithic
+``JitExecutor.execute`` would, but only after the workers succeed; a
+failed dispatch leaves the counters untouched so the in-process
+fallback can do its own accounting.
 
 Failure policy (the paper's platform assumes flaky infrastructure, so
 every pool failure mode has a typed, counted, bounded response — see
@@ -80,7 +80,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..perf import trace
-from ..perf.counters import OpCounters, fault_path_stats
+from ..perf.counters import fault_path_stats
 
 #: Draws actually shaded out-of-process (observability for tests and
 #: benchmarks — asserting the pool was exercised, not silently skipped).
@@ -295,9 +295,7 @@ def shade_draw(
     """
     global parallel_draws
     from ..glsl.errors import GlslLimitError
-    from ..glsl.ir import get_compiled
     from ..glsl.jit import JitExecutor, _jit_function
-    from ..glsl.values import Value, zeros_for
 
     if not isinstance(fs_interp, JitExecutor):
         return None
@@ -305,10 +303,7 @@ def shade_draw(
     if pool is None:
         return None
 
-    program = fs_interp.program
-    if program is None or program.checked is not fs_interp.checked:
-        program = get_compiled(fs_interp.checked, fs_interp.fmodel)
-        fs_interp.program = program
+    program = fs_interp.compiled()
     wide = frozenset(
         name for name, value in presets.items() if value.batch > 1
     )
@@ -320,51 +315,21 @@ def shade_draw(
         return None
     captured, digest = encoding
 
-    # ------------------------------------------------------------------
-    # Bind the width-1 registers exactly as JitExecutor.execute does,
-    # tallying global-initializer ops into a scratch sink that is only
-    # merged on success (see module docstring).
-    # ------------------------------------------------------------------
-    scratch = OpCounters()
-    saved_counters = fs_interp.counters
-    fs_interp.counters = scratch
-    fs_interp.n = n
-    fs_interp.globals_env = {}
-    fs_interp.consts = program.materialized_consts(fs_interp.fmodel)
-    fs_interp.regs = [None] * program.nregs
-    fs_interp.discarded = np.zeros(n, dtype=bool)
-    fs_interp.exec_mask = np.ones(n, dtype=bool)
-    fs_interp.frames = []
+    # The width-1 registers ship with the plan, the wide ones per job.
+    regs = fs_interp.bind_globals(program, n, presets)
     out_reg = None
     base_regs: Dict[int, Tuple[str, object]] = {}
     wide_regs: Dict[int, np.ndarray] = {}
-    try:
-        simple_inits = program.simple_inits()
-        for plan in program.globals_plan:
-            if plan.name in presets:
-                value = presets[plan.name]
-            elif plan.is_sampler:
-                value = Value(plan.type)
-            elif plan.init_block is not None:
-                idx = simple_inits.get(plan.name)
-                if idx is not None:
-                    gtype, data = fs_interp.consts[idx]
-                    value = Value(gtype, data)
-                else:
-                    value = fs_interp._run_global_init(program, plan)
-            else:
-                value = zeros_for(plan.type, 1, fs_interp.fmodel.dtype)
-            fs_interp.regs[plan.reg] = value
-            if plan.name == out_name:
-                out_reg = plan.reg
-            if plan.is_sampler:
-                base_regs[plan.reg] = ("sampler", value.sampler)
-            elif plan.name in wide:
-                wide_regs[plan.reg] = value.data
-            else:
-                base_regs[plan.reg] = ("data", value.data)
-    finally:
-        fs_interp.counters = saved_counters
+    for plan in program.globals_plan:
+        value = regs[plan.reg]
+        if plan.name == out_name:
+            out_reg = plan.reg
+        if plan.is_sampler:
+            base_regs[plan.reg] = ("sampler", value.sampler)
+        elif plan.name in wide:
+            wide_regs[plan.reg] = value.data
+        else:
+            base_regs[plan.reg] = ("data", value.data)
     if out_reg is None:
         return None
 
@@ -451,7 +416,7 @@ def shade_draw(
             # The generated function hit an unbound cross-region
             # CSE'd local on this draw's control-flow shape — the same
             # condition JitExecutor.execute handles in-process.  The
-            # pool is healthy; this draw just needs the IR executor.
+            # pool is healthy; this draw just needs the AST fallback.
             fault_path_stats.fault_fallbacks += 1
             return None
         except ChunkFormatError as exc:
@@ -482,10 +447,7 @@ def shade_draw(
     if recorder is not None and worker_spans:
         recorder.ingest(worker_spans)
 
-    if saved_counters is not None:
-        saved_counters.merge(scratch)
-        fs_interp.counters = saved_counters
-        fs_interp._charge_static(program, n, count_globals=True)
+    fs_interp._charge_static(program, n, count_globals=True)
     # Workers ran the same generated function the leader would have:
     # fold their gather tallies back onto the draw's executor so
     # DrawStats is identical to an in-process tiled run.

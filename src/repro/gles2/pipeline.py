@@ -24,7 +24,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..glsl.interp import Interpreter
-from ..glsl.ir import IRExecutor
 from ..glsl.types import BOOL, VEC2, VEC4
 from ..glsl.values import Value
 from ..perf import trace
@@ -438,10 +437,10 @@ def execute_draw(
     ``color_buffer`` (a C-contiguous (H, W, 4) uint8 array) in place.
 
     ``execution_backend`` selects how shaders run: ``"ast"`` walks the
-    typed AST (the reference vectorised semantics), ``"ir"`` executes
-    the compiled linear IR (bit-identical, cached per shader),
-    ``"jit"`` runs generated straight-line numpy code (bit-identical,
-    cached per shader; IR fallback outside the JIT subset).
+    typed AST (the reference vectorised semantics), ``"jit"`` runs
+    generated straight-line numpy code (bit-identical, cached per
+    shader; AST fallback outside the JIT subset, charging the static
+    op-count projection either way).
 
     ``scissor`` is the (x, y, w, h) rectangle of an enabled
     GL_SCISSOR_TEST (None when disabled): fragments outside it are
@@ -456,9 +455,7 @@ def execute_draw(
     memo): a draw whose pre-shade inputs match an earlier draw's byte
     for byte reuses that draw's :class:`LaunchPlan` and runs only the
     fragment stage and the write."""
-    if execution_backend == "ir":
-        shader_executor = IRExecutor
-    elif execution_backend == "jit":
+    if execution_backend == "jit":
         from ..glsl.jit import JitExecutor
         shader_executor = JitExecutor
     elif execution_backend == "ast":
@@ -466,7 +463,7 @@ def execute_draw(
     else:
         raise ValueError(
             f"unknown execution backend '{execution_backend}' "
-            "(expected 'ast', 'ir' or 'jit')"
+            "(expected 'ast' or 'jit')"
         )
     stats = DrawStats()
     if index_stream.size == 0:

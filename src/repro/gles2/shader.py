@@ -25,7 +25,7 @@ import numpy as np
 
 from ..glsl import ast_nodes  # noqa: F401  (re-exported for tooling)
 from ..glsl.errors import GlslError
-from ..glsl.optimize import optimize
+from ..glsl.ir.foldrules import fold_unit
 from ..glsl.parser import parse
 from ..glsl.preprocessor import preprocess
 from ..glsl.typecheck import CheckedShader, ShaderStage, check
@@ -143,7 +143,7 @@ class Shader:
                 artifact_cache.invalidate(disk_key)
         try:
             preprocessed = preprocess(self.source)
-            unit = optimize(parse(preprocessed.source))
+            unit = fold_unit(parse(preprocessed.source))
             self.checked = check(unit, self.stage)
             _attach_artifact_attrs(self.checked, key[1], self.source)
             self.compiled = True

@@ -23,7 +23,6 @@ from .errors import (
     GlslTypeError,
 )
 from .interp import Interpreter, compile_shader
-from .optimize import optimize
 from .printer import print_expr, print_stmt, print_unit
 from .scalar_ref import FragmentDiscarded, ScalarInterpreter, python_value
 from .typecheck import CheckedShader, ShaderStage, check
@@ -45,7 +44,6 @@ __all__ = [
     "ShaderStage",
     "check",
     "GlslType",
-    "optimize",
     "print_unit",
     "print_stmt",
     "print_expr",

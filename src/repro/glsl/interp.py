@@ -58,6 +58,14 @@ from .values import (
 #: conformant shader can express).
 DEFAULT_MAX_LOOP_ITERATIONS = 65536
 
+#: Relational operators (shared with the IR fold pass).
+COMPARE_FUNCS = {
+    "<": np.less,
+    ">": np.greater,
+    "<=": np.less_equal,
+    ">=": np.greater_equal,
+}
+
 
 class _ExactModel:
     """Fallback float model: float64, no rounding — used when the
@@ -470,15 +478,9 @@ class Interpreter:
         right = self.eval(expr.right)
         if op in ("==", "!="):
             return self._eval_equality(op, left, right)
-        if op in ("<", ">", "<=", ">="):
-            func = {
-                "<": np.less,
-                ">": np.greater,
-                "<=": np.less_equal,
-                ">=": np.greater_equal,
-            }[op]
+        if op in COMPARE_FUNCS:
             self._count("alu")
-            return Value(BOOL, func(left.data, right.data))
+            return Value(BOOL, COMPARE_FUNCS[op](left.data, right.data))
         return self._eval_arith(op, left, right, expr.resolved_type)
 
     def _eval_shortcircuit(self, expr: ast.BinaryOp) -> Value:
@@ -675,7 +677,7 @@ class Interpreter:
 
     def _apply_builtin(self, overload, args: List[Value], out_type: GlslType) -> Value:
         """Apply one builtin overload to already-evaluated argument
-        Values (shared with the IR executor)."""
+        Values (shared with the IR fold pass)."""
         if overload.name in bi.TEXTURE_BUILTINS:
             return self._eval_texture(overload, args, out_type)
 
@@ -731,7 +733,7 @@ class Interpreter:
 
     def _construct(self, target: GlslType, args: List[Value]) -> Value:
         """Apply a constructor to already-evaluated argument Values
-        (shared with the IR executor)."""
+        (shared with the IR fold pass)."""
         if target.is_struct():
             fields = {}
             for (fname, __), arg in zip(target.fields, args):

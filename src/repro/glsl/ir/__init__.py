@@ -4,8 +4,8 @@ Pipeline: :func:`~repro.glsl.ir.lower.lower_shader` turns a
 :class:`~repro.glsl.typecheck.CheckedShader` into a structured
 :class:`~repro.glsl.ir.nodes.CompiledProgram`;
 :func:`~repro.glsl.ir.passes.run_passes` folds/prunes/CSEs/DCEs it;
-:class:`~repro.glsl.ir.executor.IRExecutor` flattens and runs it as a
-drop-in, bit-identical replacement for the AST tree walker.
+:mod:`repro.glsl.jit` generates the compiled engine's numpy code from
+it, and :func:`~repro.glsl.ir.cost.static_cost` projects its op counts.
 
 :func:`get_compiled` is the cached front door: compiled artifacts are
 memoised per (float model, dtype) on the CheckedShader itself, so
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import StaticCost, static_cost
-from .executor import IRExecutor, flatten_program
 from .gather import annotate_gathers
 from .lower import Lowerer, lower_shader
 from .nodes import CompiledProgram, Instr, dump_ir
@@ -34,7 +33,6 @@ from .passes import run_passes
 
 __all__ = [
     "CompiledProgram",
-    "IRExecutor",
     "Instr",
     "Lowerer",
     "StaticCost",
@@ -42,7 +40,6 @@ __all__ = [
     "compile_events",
     "compile_ir",
     "dump_ir",
-    "flatten_program",
     "get_compiled",
     "lower_shader",
     "reset_compile_events",

@@ -21,9 +21,6 @@ Scalar semantics match GLSL ES 1.00: int/int division truncates
 toward zero, division by a literal zero is left for the runtime's
 defined-as-zero behaviour, int32 overflow is left unfolded, and
 mixed int/float arithmetic (a type error) is left for the checker.
-
-The legacy entry point :func:`repro.glsl.optimize.optimize` is a thin
-shim over :func:`fold_unit`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ The lowering mirrors the AST interpreter's evaluation orders *exactly*
 compound assignments read the old value after the rhs, declarations
 allocate storage before evaluating their initializer, out/inout
 argument l-values re-evaluate their indices after the argument values,
-...) so that the IR executor is bit-identical to the tree walker.
+...) so that code generated from the IR is bit-identical to the tree
+walker.
 
 User functions are inlined (GLSL ES 1.00 forbids recursion; the
 interpreter's 64-frame depth cap becomes a lower-time inline cap) and

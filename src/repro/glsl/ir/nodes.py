@@ -1,10 +1,10 @@
 """The linear, register-based IR for compiled GLSL shaders.
 
 A :class:`CompiledProgram` is the artifact produced by
-:mod:`repro.glsl.ir.lower` and consumed by the flat-loop executor
-(:mod:`repro.glsl.ir.executor`), the optimisation passes
-(:mod:`repro.glsl.ir.passes`) and the static cost model
-(:mod:`repro.glsl.ir.cost`).
+:mod:`repro.glsl.ir.lower` and consumed by the optimisation passes
+(:mod:`repro.glsl.ir.passes`), the static cost model
+(:mod:`repro.glsl.ir.cost`) and the JIT code generator
+(:mod:`repro.glsl.jit.codegen`).
 
 The IR is *structured*: straight-line value operations are plain
 :class:`Instr` records over an infinite register file, while control
@@ -18,9 +18,8 @@ are *bounded* at lower time: the lowering derives a static trip count
 whenever the loop matches the Appendix-A shape, which the static cost
 model consumes.
 
-The structured form is flattened into a linear instruction list with
-jump targets by the executor; the structured form is what the golden
-IR dumps (``tests/corpus/*.ir``) record.
+The structured form is what the golden IR dumps
+(``tests/corpus/*.ir``) record.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class Instr:
     Fields
     ------
     op:
-        Opcode string (see module docstring / executor table).
+        Opcode string (see the op sets above).
     out:
         Destination register or None.
     args:
@@ -202,10 +201,9 @@ class GlobalPlan:
 class CompiledProgram:
     """The compiled artifact for one shader stage.
 
-    Holds the structured IR (``body`` + per-global init blocks), the
-    constant pool (master copies; materialised per float dtype by the
-    executor) and, once the executor has flattened it, the linear
-    instruction streams.
+    Holds the structured IR (``body`` + per-global init blocks) and
+    the constant pool (master copies; materialised per float dtype at
+    bind time).
     """
 
     def __init__(self, checked, globals_plan: List[GlobalPlan],
@@ -221,9 +219,6 @@ class CompiledProgram:
         self.consts = consts
         #: dtype str -> list of materialised constant Values
         self._const_cache: Dict[str, list] = {}
-        #: flattened linear code (filled by executor.flatten_program)
-        self.linear = None
-        self.global_linear = None
 
     def materialized_consts(self, fmodel):
         """Constant Values for one float model (cached per dtype)."""
@@ -241,6 +236,24 @@ class CompiledProgram:
                 cached.append((gtype, data))
             self._const_cache[key] = cached
         return cached
+
+    def simple_inits(self) -> Dict[str, int]:
+        """Global initialisers the fold pass reduced to a lone constant:
+        ``name -> const pool index`` (cached).  Binding materialises
+        these directly instead of evaluating the initialiser."""
+        simple = getattr(self, "_simple_inits", None)
+        if simple is None:
+            simple = {}
+            for plan in self.globals_plan:
+                block = plan.init_block
+                if block is None or len(block.items) != 1:
+                    continue
+                ins = block.items[0]
+                if isinstance(ins, Instr) and ins.op == "const" \
+                        and ins.out == plan.init_reg:
+                    simple[plan.name] = ins.imm
+            self._simple_inits = simple
+        return simple
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,12 @@ select-conversion (if-conversion of pure ternary/short-circuit arms),
 call-frame elision, parameter copy propagation, common-subexpression
 elimination and dead-code elimination.
 
-Folding is *abstract execution*: a batch-1 host executor runs the real
-instruction handlers under the real float model, so folded constants
-are bit-exact per precision model by construction — this is strictly
-stronger than the scalar literal folding the old AST-level
-``optimize.py`` pass performed (see :mod:`repro.glsl.ir.foldrules`).
+Folding is *abstract execution*: a batch-1 host interpreter evaluates
+each foldable op through the AST interpreter's own value machinery
+under the real float model, so folded constants are bit-exact per
+precision model by construction — this is strictly stronger than the
+scalar literal folding of the pre-typecheck AST walk
+(:mod:`repro.glsl.ir.foldrules`).
 
 Soundness notes
 ---------------
@@ -51,6 +52,8 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..errors import GlslError
+from ..interp import COMPARE_FUNCS, Interpreter
+from ..types import BOOL
 from ..values import Value
 from .nodes import (
     Block,
@@ -63,11 +66,61 @@ from .nodes import (
     ScRegion,
 )
 
+def _fold_unary(host, ins, args):
+    (operand,) = args
+    if ins.imm == "-":
+        data = -operand.data
+        if operand.type.is_float_based():
+            data = host.fmodel.quantize(data)
+        return Value(operand.type, data)
+    return Value(BOOL, ~operand.data)
+
+
+def _fold_swizzle(host, ins, args):
+    data = args[0].data
+    indices = ins.imm
+    if len(indices) == 1:
+        return Value(ins.type, data[:, indices[0]])
+    return Value(ins.type, data[:, list(indices)])
+
+
+def _fold_sc_combine(host, ins, args):
+    left = host._broadcast_mask(args[0].data)
+    right = host._broadcast_mask(args[1].data)
+    if ins.imm == "&&":
+        rhs = host.exec_mask & left
+        return Value(BOOL, left & (right | ~rhs))
+    rhs = host.exec_mask & ~left
+    return Value(BOOL, left | (right & rhs))
+
+
+#: How abstract execution evaluates each foldable op once every
+#: argument is constant: ``(host interpreter, instr, argument Values)
+#: -> result Value``, through the interpreter's own value machinery.
+_FOLD_OPS = {
+    "move": lambda host, ins, args: args[0],
+    "unary": _fold_unary,
+    "arith": lambda host, ins, args: host._eval_arith(
+        ins.imm[0], args[0], args[1], ins.type),
+    "compare": lambda host, ins, args: Value(
+        BOOL, COMPARE_FUNCS[ins.imm](args[0].data, args[1].data)),
+    "equal": lambda host, ins, args: host._eval_equality(
+        ins.imm[0], args[0], args[1]),
+    "xor": lambda host, ins, args: Value(
+        BOOL, args[0].data ^ args[1].data),
+    "construct": lambda host, ins, args: host._construct(ins.type, args),
+    "swizzle": _fold_swizzle,
+    "index": lambda host, ins, args: host._index_value(
+        args[0], args[1], ins.type),
+    "builtin": lambda host, ins, args: host._apply_builtin(
+        ins.imm[1], args, ins.type),
+    "select": lambda host, ins, args: host._blend(
+        args[1], args[2], host._broadcast_mask(args[0].data)),
+    "sc_combine": _fold_sc_combine,
+}
+
 #: Ops abstract execution can evaluate when every argument is constant.
-_FOLDABLE = frozenset({
-    "move", "unary", "arith", "compare", "equal", "xor", "construct",
-    "swizzle", "index", "builtin", "select", "sc_combine",
-})
+_FOLDABLE = frozenset(_FOLD_OPS)
 
 #: Ops safe to speculate under select-conversion (no side effects, no
 #: masked stores, no texture-unit traffic, defined on garbage lanes).
@@ -107,16 +160,9 @@ def _imm_key(ins: Instr):
 # ======================================================================
 class _FoldPass:
     def __init__(self, program: CompiledProgram, fmodel):
-        from .executor import HANDLERS, IRExecutor
-
         self.program = program
-        self.handlers = HANDLERS
-        host = IRExecutor(program.checked, float_model=fmodel)
+        host = Interpreter(program.checked, float_model=fmodel)
         host.n = 1
-        host.exec_mask = np.ones(1, dtype=bool)
-        host.discarded = np.zeros(1, dtype=bool)
-        host.frames = []
-        host.regs = {}
         self.host = host
         program._const_cache = {}
         self.materialized = program.materialized_consts(fmodel)
@@ -219,12 +265,9 @@ class _FoldPass:
             return ins
         if not ins.args or not all(a in self.known for a in ins.args):
             return ins
-        host = self.host
         try:
-            for a in ins.args:
-                host.regs[a] = self.known[a]
-            self.handlers[ins.op](host, ins)
-            result = host.regs[ins.out]
+            result = _FOLD_OPS[ins.op](
+                self.host, ins, [self.known[a] for a in ins.args])
         except (GlslError, ZeroDivisionError, FloatingPointError,
                 OverflowError, ValueError, TypeError, IndexError,
                 KeyError):

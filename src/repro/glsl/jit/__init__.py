@@ -1,42 +1,39 @@
 """``repro.glsl.jit`` — NumPy-source JIT backend for compiled shaders.
 
-The third execution backend (after the AST tree walker and the linear
-IR executor): :mod:`.codegen` walks the optimised IR once per
-(program, wide-global set) and emits a single straight-line vectorised
-Python function, materialised with ``compile()``/``exec``.  Steady-state
-kernel relaunches then run **zero interpreter instructions** — one
-function call per shader stage per draw, all the work inside numpy.
+The compiled execution engine (the AST tree walker is the reference):
+:mod:`.codegen` walks the optimised IR once per (program, wide-global
+set) and emits a single straight-line vectorised Python function,
+materialised with ``compile()``/``exec``.  Steady-state kernel
+relaunches then run **zero interpreter instructions** — one function
+call per shader stage per draw, all the work inside numpy.
 
 :mod:`.uniform` supplies the uniform-lane inference that keeps
 registers depending only on uniforms/constants at batch width 1, so
 per-draw quantities are computed once instead of once per fragment.
 
-:class:`JitExecutor` is the drop-in `execute(n, presets)` engine.  It
-shares the IR executor's whole setup path (program cache, global
-plans, preset binding) and differs only in how the body runs.
+:class:`JitExecutor` is the drop-in `execute(n, presets)` engine.
 Programs using constructs outside the JIT subset (divergent returns,
 structs, multi-step l-values — see :class:`~.codegen.JitUnsupported`)
-fall back to the :class:`~repro.glsl.ir.executor.IRExecutor` at whole-
-program granularity; each fallback *draw* increments the module-level
-``jit_fallbacks`` counter.
+fall back to the AST :class:`~repro.glsl.interp.Interpreter` at
+whole-draw granularity; each fallback *draw* increments the
+module-level ``jit_fallbacks`` counter.
 
-Because the generated code does not tally ops dynamically, callers
-that need :class:`~repro.perf.counters.OpCounters` totals get the
-static IR-cost projection (:func:`repro.glsl.ir.static_cost`) instead,
-applied once per draw.
+Because the generated code does not tally ops dynamically, every draw
+— fallback draws included — charges the static IR-cost projection
+(:func:`repro.glsl.ir.static_cost`) to its
+:class:`~repro.perf.counters.OpCounters`, once per draw.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+import contextlib
+from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
 
-import contextlib
-
-from ..values import Value, zeros_for
+from ..interp import DEFAULT_MAX_LOOP_ITERATIONS, Interpreter
 from ..ir import get_compiled, static_cost
-from ..ir.executor import IRExecutor
+from ..values import Value, zeros_for
 from .codegen import (
     JitUnsupported,
     gather_enabled,
@@ -60,7 +57,7 @@ __all__ = [
     "texture_gather",
 ]
 
-#: Number of draws that fell back to the IRExecutor because the
+#: Number of draws that fell back to the AST interpreter because the
 #: program (or this draw's runtime shape) is outside the JIT subset.
 jit_fallbacks = 0
 
@@ -161,8 +158,8 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
     from ...testing import faults
 
     if faults.fire("jit_error"):
-        # Injected codegen failure: this *draw* degrades to the IR
-        # executor (bit-identical by the backend contract) without
+        # Injected codegen failure: this *draw* degrades to the AST
+        # interpreter (bit-identical by the backend contract) without
         # poisoning the in-memory memo or the persistent store — the
         # next draw may JIT normally.
         from ...perf.counters import fault_path_stats
@@ -260,11 +257,16 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         return fn
 
 
-class JitExecutor(IRExecutor):
-    """Drop-in replacement for :class:`IRExecutor` that calls the
-    generated straight-line numpy function instead of dispatching IR
-    instructions.  Same constructor, same ``execute(n, presets)``
-    contract, bit-identical observable results."""
+class JitExecutor(Interpreter):
+    """Drop-in replacement for :class:`Interpreter` that calls the
+    generated straight-line numpy function instead of walking the AST.
+    Same constructor, same ``execute(n, presets)`` contract,
+    bit-identical observable results.
+
+    Every draw charges the static counter projection
+    (:meth:`_charge_static`), including draws that fall back to the
+    AST interpreter: the fallback runs with counters muted, so a
+    draw's op counts never depend on which engine shaded it."""
 
     #: Texture-gather tallies, accumulated across this executor's
     #: ``execute`` calls (one executor serves one draw, so tiled draws
@@ -274,36 +276,38 @@ class JitExecutor(IRExecutor):
     texture_gathers = 0
     gather_fallbacks = 0
 
-    def execute(self, n: int, presets: Dict[str, Value],
-                count_globals: bool = True) -> Dict[str, Value]:
+    def __init__(self, checked, float_model=None, counters=None,
+                 max_loop_iterations: int = DEFAULT_MAX_LOOP_ITERATIONS):
+        super().__init__(checked, float_model, counters, max_loop_iterations)
+        self.program = None
+
+    def compiled(self):
+        """The optimised IR program for this shader (memoised)."""
         program = self.program
         if program is None or program.checked is not self.checked:
-            program = get_compiled(self.checked, self.fmodel)
-            self.program = program
+            program = self.program = get_compiled(self.checked, self.fmodel)
+        return program
 
-        wide = frozenset(
-            name for name, value in presets.items()
-            if value.batch > 1
-        )
-        fn = _jit_function(program, self.fmodel, wide)
-        if fn is None:
-            _bump_fallbacks()
-            return super().execute(n, presets, count_globals)
+    def bind_globals(self, program, n: int,
+                     presets: Dict[str, Value]) -> List[Optional[Value]]:
+        """The register file the generated function starts from: every
+        global plan bound to its preset, a fresh sampler, its folded
+        constant initialiser, its AST-evaluated initialiser, or zeros.
+        Also fills :attr:`globals_env`.
 
-        # Same preset/global binding as IRExecutor.execute.  The IR
-        # dispatch state (exec_mask, control stacks, frames) is not
-        # allocated: the generated function threads masks through
-        # locals, and the fallback path re-initialises everything.
+        Counters are muted throughout: a draw's global-initialiser cost
+        is the static projection's ``per_draw`` part, charged by
+        :meth:`_charge_static`."""
         self.n = n
+        self.discarded = np.zeros(n, dtype=bool)
+        self.frames = []
         self.globals_env = {}
-        self.consts = program.materialized_consts(self.fmodel)
-        self.regs = [None] * program.nregs
-
+        regs: List[Optional[Value]] = [None] * program.nregs
+        consts = program.materialized_consts(self.fmodel)
+        simple_inits = program.simple_inits()
         saved_counters = self.counters
-        if not count_globals:
-            self.counters = None
+        self.counters = None
         try:
-            simple_inits = program.simple_inits()
             for plan in program.globals_plan:
                 if plan.name in presets:
                     value = presets[plan.name]
@@ -312,50 +316,74 @@ class JitExecutor(IRExecutor):
                 elif plan.init_block is not None:
                     idx = simple_inits.get(plan.name)
                     if idx is not None:
-                        gtype, data = self.consts[idx]
+                        gtype, data = consts[idx]
                         value = Value(gtype, data)
                     else:
-                        value = self._run_global_init(program, plan)
+                        value = self._materialize_global_init(
+                            self.checked.globals[plan.name]
+                        )
                 else:
                     value = zeros_for(plan.type, 1, self.fmodel.dtype)
-                self.regs[plan.reg] = value
+                regs[plan.reg] = value
                 self.globals_env[plan.name] = value
         finally:
             self.counters = saved_counters
         for name, value in presets.items():
             self.globals_env.setdefault(name, value)
+        return regs
 
+    def execute(self, n: int, presets: Dict[str, Value],
+                count_globals: bool = True) -> Dict[str, Value]:
+        program = self.compiled()
+        wide = frozenset(
+            name for name, value in presets.items()
+            if value.batch > 1
+        )
+        fn = _jit_function(program, self.fmodel, wide)
+        if fn is None:
+            return self._fallback(program, n, presets, count_globals)
+
+        regs = self.bind_globals(program, n, presets)
         gst = getattr(fn, "_jit_gather_stats", None)
         gst_before = tuple(gst) if gst is not None else None
         try:
-            discarded = fn(self.regs, n, self.max_loop_iterations)
+            discarded = fn(regs, n, self.max_loop_iterations)
         except (NameError, UnboundLocalError):
             # A cross-region CSE'd value whose defining branch did not
             # execute on this draw left a Python local unbound.  The
             # generated function only publishes results in its final
             # writeback, so nothing is half-written: run the draw on
-            # the IR executor instead (full re-setup included).  Any
-            # partial gather tally is dropped with the partial run.
-            _bump_fallbacks()
-            return super().execute(n, presets, count_globals)
+            # the AST interpreter instead.  Any partial gather tally is
+            # dropped with the partial run.
+            return self._fallback(program, n, presets, count_globals)
         if gst_before is not None:
             self.texture_gathers += gst[0] - gst_before[0]
             self.gather_fallbacks += gst[1] - gst_before[1]
         if discarded is not None:
             self.discarded = self._broadcast_mask(discarded)
-        else:
-            self.discarded = np.zeros(n, dtype=bool)
-
-        if self.counters is not None:
-            self._charge_static(program, n, count_globals)
+        self._charge_static(program, n, count_globals)
         return self.globals_env
+
+    def _fallback(self, program, n: int, presets: Dict[str, Value],
+                  count_globals: bool) -> Dict[str, Value]:
+        """Shade this draw on the AST interpreter (bit-identical by the
+        backend contract) and charge the same static projection a
+        healthy JIT draw would."""
+        _bump_fallbacks()
+        saved_counters = self.counters
+        self.counters = None
+        try:
+            env = super().execute(n, presets, count_globals)
+        finally:
+            self.counters = saved_counters
+        self._charge_static(program, n, count_globals)
+        return env
 
     def _charge_static(self, program, n: int, count_globals: bool) -> None:
         """Charge the static counter projection for a draw of ``n``
         lanes.  The projection splits per-invocation from per-draw
         (global-initializer) cost; tiled callers charge the per-draw
-        part on the first tile only, mirroring the dynamic executors'
-        count_globals semantics."""
+        part on the first tile only (``count_globals``)."""
         if self.counters is None:
             return
         totals_cache = getattr(program, "_static_totals", None)

@@ -11,9 +11,9 @@ interpreter instructions.
 
 Exactness contract
 ------------------
-The generated code must be **bit-identical** to the interpreter /
-IR-executor pair for every observable effect (global stores, discard
-mask, raised limit errors).  Three structural facts make this
+The generated code must be **bit-identical** to the AST interpreter
+for every observable effect (global stores, discard mask, raised limit
+errors).  Three structural facts make this
 tractable:
 
 * Pure value ops compute full-width results regardless of the
@@ -29,7 +29,7 @@ tractable:
   never mutated) makes aliasing free: ``move``/``copy``/full-mask
   stores become plain Python rebinds.
 
-Lowering decisions (ast/ir/jit decision table lives in
+Lowering decisions (the ast/jit decision table lives in
 docs/architecture.md):
 
 ===============  ====================================================
@@ -48,8 +48,8 @@ function region   inlined (only when it contains no ``return``)
 
 Anything outside this subset — user functions with ``return``, struct
 values, multi-step or struct-field l-value paths — raises
-:class:`JitUnsupported`; the executor then falls back to the
-:class:`~repro.glsl.ir.executor.IRExecutor` and counts the event in
+:class:`JitUnsupported`; the executor then falls back to the AST
+:class:`~repro.glsl.interp.Interpreter` and counts the event in
 ``repro.glsl.jit.jit_fallbacks``.
 """
 
@@ -547,7 +547,7 @@ class CodeGen:
         # Varying condition: run both branches under split masks.
         # then = entry & cond; else = entry & ~cond (kills on the then
         # side only remove cond-true lanes, so the else mask needs no
-        # live recompute — matching the flat executor).
+        # live recompute).
         mt = self.newmask(self.combine(m, f"r{item.cond}"))
         self.gen_block(item.then_block, mt)
         if item.else_block is not None:

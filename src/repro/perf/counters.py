@@ -92,7 +92,7 @@ class FaultPathStats:
     degraded-path activations — a pool draw abandoned to in-process
     shading after its retry budget, a fused chain replayed eagerly
     because composition/build raised, a JIT compile failure falling
-    back to the IR executor.  Every one of these paths is
+    back to the AST interpreter.  Every one of these paths is
     bit-identical to the healthy one by construction (asserted in
     ``tests/test_faults.py``); the counters exist so degradation is
     *visible*, never silent.

@@ -213,7 +213,7 @@ def build_entries() -> List[CorpusEntry]:
     # ------------------------------------------------------------------
     # Texture-sampling matrix: filter x wrap x completeness.  Each entry
     # pins one leg of the Texture.sample decision tree — the same code
-    # all five oracle paths (and the JIT's gather-disqualification
+    # all four oracle paths (and the JIT's gather-disqualification
     # fallback) funnel through.
     # ------------------------------------------------------------------
     # NEAREST mag + CLAMP_TO_EDGE on coordinates straddling [0,1]: the

@@ -2,16 +2,14 @@
 
 Generates random GLSL ES 1.00 fragment shaders and pushes each one
 through the differential oracle (raster pipeline / vectorised AST
-interpreter / compiled IR executor / scalar reference interpreter),
-comparing outputs bit-exactly.  On divergence the failing program is
-shrunk to a minimal reproducer.
+interpreter / JIT backend / scalar reference interpreter), comparing
+outputs bit-exactly.  On divergence the failing program is shrunk to a
+minimal reproducer.
 
 ``--backend`` picks the execution backends under test: ``ast`` is the
-legacy three-way oracle, ``ir`` drives the raster pipeline with the
-compiled-IR executor, ``jit`` drives it with the NumPy-source JIT
-backend, ``both`` (default) cross-checks paths A-D, and ``all``
-cross-checks all five paths (AST pipeline + AST/IR/JIT replays +
-scalar reference).
+three-way oracle, ``jit`` drives the raster pipeline with the
+NumPy-source JIT backend, and ``all`` (default) cross-checks all four
+paths (AST pipeline + AST/JIT replays + scalar reference).
 
 Usage::
 
@@ -44,14 +42,14 @@ def program_rng(seed: int, index: int) -> random.Random:
 
 def run_one(
     source: str, *, size: int = 4, quantization: str = "round",
-    backend: str = "both",
+    backend: str = "all",
 ) -> DifferentialResult:
     return run_differential(
         source, size=size, quantization=quantization, backend=backend
     )
 
 
-def _still_fails(size: int, quantization: str, backend: str = "both"):
+def _still_fails(size: int, quantization: str, backend: str = "all"):
     """Shrink predicate: a candidate 'still fails' when it compiles
     and its differential run diverges."""
 
@@ -68,7 +66,7 @@ def _still_fails(size: int, quantization: str, backend: str = "both"):
 
 def shrink_failure(
     source: str, *, size: int = 4, quantization: str = "round",
-    backend: str = "both",
+    backend: str = "all",
 ) -> str:
     return shrink_source(source, _still_fails(size, quantization, backend))
 
@@ -79,7 +77,7 @@ def fuzz(
     *,
     size: int = 4,
     quantization: str = "round",
-    backend: str = "both",
+    backend: str = "all",
     keep_going: bool = False,
     do_shrink: bool = True,
     progress_every: int = 50,
@@ -146,14 +144,12 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--quantization", choices=("round", "floor"),
                         default="round", help="eq. (2) quantisation mode")
     parser.add_argument("--backend",
-                        choices=("ast", "ir", "jit", "both", "all"),
-                        default="both",
+                        choices=("ast", "jit", "all"),
+                        default="all",
                         help="execution backends under test: 'ast' = "
-                             "legacy three-way oracle, 'ir' = pipeline "
-                             "driven by the compiled-IR executor, "
-                             "'jit' = pipeline driven by the NumPy-source "
-                             "JIT backend, 'both' = paths A-D, "
-                             "'all' = all five paths cross-checked")
+                             "three-way oracle, 'jit' = pipeline "
+                             "driven by the NumPy-source JIT backend, "
+                             "'all' = all four paths cross-checked")
     parser.add_argument("--p-texture", type=float, default=None,
                         help="probability that a vec4 expression node "
                              "becomes a texture2D sample of a standard "

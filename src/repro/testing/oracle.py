@@ -1,6 +1,6 @@
-"""The differential oracle: five independent ways to render a shader.
+"""The differential oracle: four independent ways to render a shader.
 
-For one fragment shader the oracle produces up to five results and
+For one fragment shader the oracle produces up to four results and
 demands they agree bit-for-bit:
 
 A. **pipeline** — the full ``gles2`` raster path: vertex shading,
@@ -13,23 +13,20 @@ C. **scalar reference** — every fragment individually evaluated by
    :class:`repro.glsl.scalar_ref.ScalarInterpreter` (plain Python
    recursion, no numpy vectorisation), quantised by
    :func:`reference_quantize`.
-D. **compiled IR replay** — the same captured presets replayed through
-   :class:`repro.glsl.ir.IRExecutor`: lower → fold → select-convert →
-   CSE → DCE → flat instruction loop.  Selected with
-   ``backend="ir"`` / ``"both"`` / ``"all"`` on
-   :func:`run_differential`.
 E. **JIT replay** — the presets replayed through
-   :class:`repro.glsl.jit.JitExecutor`: the generated straight-line
-   numpy function (or its IRExecutor fallback for programs outside the
-   JIT subset).  Selected with ``backend="jit"`` / ``"all"``.
+   :class:`repro.glsl.jit.JitExecutor`: lower → fold → select-convert →
+   CSE → DCE → the generated straight-line numpy function (or its AST
+   fallback for programs outside the JIT subset).  Selected with
+   ``backend="jit"`` / ``"all"`` on :func:`run_differential`.  (There
+   is no path D; the letters match ``docs/testing.md``.)
 
 A≠B catches framebuffer plumbing and quantisation bugs (this is what
 flags the deliberately injected eq. (2) off-by-one); B≠C catches
 divergence between the two interpreter implementations — masking,
-broadcasting, l-value or builtin semantics; D≠B catches any place the
-IR compile pipeline (lowering or an optimisation pass) changes
-observable semantics; E≠B catches JIT codegen bugs — mask-blend
-lowering, uniform-lane width inference, quantisation elision.  The
+broadcasting, l-value or builtin semantics; E≠B catches any place the
+IR compile pipeline (lowering or an optimisation pass) or the JIT
+codegen — mask-blend lowering, uniform-lane width inference,
+quantisation elision — changes observable semantics.  The
 rasteriser itself is checked by asserting the fullscreen quad covers
 every pixel exactly once (top-left fill rule conformance).
 """
@@ -245,7 +242,7 @@ def draw_for_capture(
     ``vertex_source`` may replace the standard quad shader (e.g. the
     codegen pass-through shader, whose varying is ``v_coord``).
     ``execution_backend`` selects how the pipeline itself runs the
-    shaders ("ast", "ir" or "jit"); ``tile_size`` / ``shade_workers``
+    shaders ("ast" or "jit"); ``tile_size`` / ``shade_workers``
     select tiled and multiprocess fragment shading (the tiled-vs-
     monolithic bit-identity tests drive these).
     """
@@ -337,19 +334,17 @@ def run_differential(
     uniforms: Optional[Dict[str, object]] = None,
     textures: Optional[Dict[str, np.ndarray]] = None,
     vertex_source: str = STANDARD_VERTEX_SHADER,
-    backend: str = "both",
+    backend: str = "all",
 ) -> DifferentialResult:
     """Render ``fragment_source`` through the independent paths and
     compare the results bit-exactly.
 
     ``backend`` selects the execution backends under test: ``"ast"``
-    runs the legacy three-way oracle (paths A/B/C), ``"ir"`` drives the
-    raster pipeline itself with the IR executor and adds the path-D
-    replay, ``"jit"`` drives the pipeline with the JIT backend and adds
-    the path-E replay, ``"both"`` (default) keeps the pipeline on the
-    reference AST backend and cross-checks paths A/B/C/D, and ``"all"``
-    cross-checks all five paths."""
-    if backend not in ("ast", "ir", "jit", "both", "all"):
+    runs the three-way oracle (paths A/B/C), ``"jit"`` drives the
+    raster pipeline itself with the JIT backend and adds the path-E
+    replay, and ``"all"`` (default) keeps the pipeline on the reference
+    AST backend and cross-checks all four paths."""
+    if backend not in ("ast", "jit", "all"):
         raise ValueError(f"unknown backend '{backend}'")
     framebuffer, capture = draw_for_capture(
         fragment_source,
@@ -358,7 +353,7 @@ def run_differential(
         uniforms=uniforms,
         textures=textures,
         vertex_source=vertex_source,
-        execution_backend=backend if backend in ("ir", "jit") else "ast",
+        execution_backend="jit" if backend == "jit" else "ast",
     )
 
     def fail(stage: str, message: str, mismatches=()) -> DifferentialResult:
@@ -400,48 +395,9 @@ def run_differential(
     discard_b = replay.discarded
 
     # ------------------------------------------------------------------
-    # Path D: compiled-IR replay on the same captured presets.
-    # ------------------------------------------------------------------
-    if backend in ("ir", "both", "all"):
-        from ..glsl.ir import IRExecutor
-
-        ir_replay = IRExecutor(checked)
-        ir_env = ir_replay.execute(n, _clone_presets(capture.fs_presets))
-        if "gl_FragData" in checked.written_builtins:
-            ir_value = ir_env["gl_FragData"].fields["0"]
-        else:
-            ir_value = ir_env["gl_FragColor"]
-        colors_d = np.broadcast_to(ir_value.data.astype(np.float64), (n, 4))
-        discard_d = ir_replay.discarded
-        if not np.array_equal(discard_b, discard_d):
-            lanes = np.nonzero(discard_b != discard_d)[0][:4]
-            return fail(
-                "ir-discard",
-                "AST interpreter and IR executor disagree on discard",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={bool(discard_b[i])} ir={bool(discard_d[i])}"
-                    for i in lanes
-                ],
-            )
-        live_d = ~discard_b
-        if not np.array_equal(colors_d[live_d], colors_b[live_d]):
-            diff = np.any(colors_d != colors_b, axis=1) & live_d
-            lanes = np.nonzero(diff)[0][:4]
-            return fail(
-                "ir-color",
-                "AST interpreter and IR executor disagree on gl_FragColor",
-                [
-                    f"  fragment ({capture.px[i]},{capture.py[i]}): "
-                    f"ast={colors_b[i].tolist()} ir={colors_d[i].tolist()}"
-                    for i in lanes
-                ],
-            )
-
-    # ------------------------------------------------------------------
     # Path E: JIT replay on the same captured presets.  The JitExecutor
-    # itself falls back to the IRExecutor for programs outside the JIT
-    # subset, so this path always yields a comparable result.
+    # itself falls back to the AST interpreter for programs outside the
+    # JIT subset, so this path always yields a comparable result.
     # ------------------------------------------------------------------
     if backend in ("jit", "all"):
         from ..glsl.jit import JitExecutor

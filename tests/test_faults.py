@@ -13,8 +13,8 @@ The contract under test, per layer:
   compile, a contended trim lock skips the trim, and orphaned publish
   temp files older than an hour are swept.
 * **Fusion / JIT** — a failed chain composition replays the chain
-  eagerly; a failed JIT codegen runs the draw on the IR executor.
-  Both bit-identical.
+  eagerly; a failed JIT codegen runs the draw on the AST interpreter
+  and charges the JIT's static op counts.  Both bit-identical.
 
 Healthy baselines run under :func:`repro.testing.faults.suppress` so
 these assertions stay valid inside the fault-injected CI leg
@@ -431,12 +431,12 @@ def test_cache_corrupt_entry_reads_as_counted_miss(monkeypatch, tmp_path):
         assert cache.get(key) is None
 
 
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ast", "jit"])
 def test_cache_corrupt_render_recompiles_bit_identical(
     backend, monkeypatch, tmp_path
 ):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    source = _shader({"ast": "0.125", "ir": "0.1875", "jit": "0.21875"}[backend])
+    source = _shader({"ast": "0.125", "jit": "0.21875"}[backend])
     with faults.suppress():
         fb_healthy, __ = _render(source, backend=backend)
     # Drop the in-process front-end memo so the second render actually
@@ -511,7 +511,7 @@ def test_orphaned_tmp_files_are_swept(monkeypatch, tmp_path):
 # ======================================================================
 # Fusion and JIT faults
 # ======================================================================
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ast", "jit"])
 def test_fuse_failure_replays_eagerly_bit_identical(backend):
     host = np.linspace(0.25, 16.0, 64, dtype=np.float32)
     with faults.suppress():
@@ -538,20 +538,48 @@ def test_fuse_failure_replays_eagerly_bit_identical(backend):
     assert graph_dev.ctx.stats.fault_fallbacks >= 1
 
 
-def test_jit_error_falls_back_to_ir_bit_identical():
-    source = _shader("0.4375")
-    with faults.suppress():
-        fb_jit, __ = _render(source, backend="jit")
-        fb_ir, __ = _render(source, backend="ir")
+#: A data-dependent ``break`` in a 4-iteration loop: the AST
+#: interpreter's dynamic tally counts only the iterations lanes really
+#: ran, while the JIT's static projection charges all four.
+LOOP_BREAK_SHADER = """
+precision highp float;
+varying vec2 v_uv;
+void main() {
+    float acc = 0.0;
+    for (int i = 0; i < 4; i++) {
+        if (acc > v_uv.x) { break; }
+        acc += sqrt(v_uv.y + float(i));
+    }
+    gl_FragColor = vec4(acc * 0.25, v_uv, 1.0);
+}
+"""
+
+
+def test_jit_error_falls_back_to_ast_bit_identical():
+    """An injected codegen failure shades the draw on the AST
+    interpreter: the same framebuffer, and the same DrawStats as a
+    healthy JIT draw — the fallback charges the static projection,
+    never the interpreter's dynamic tally."""
     from repro.glsl import jit as jit_mod
 
-    fallbacks_before = jit_mod.jit_fallbacks
-    with faults.inject_faults(jit_error=1.0, seed=22):
-        fb_fault, ctx = _render(source, backend="jit")
-    assert fb_fault.tobytes() == fb_jit.tobytes()
-    assert fb_fault.tobytes() == fb_ir.tobytes()
-    assert jit_mod.jit_fallbacks > fallbacks_before
-    assert ctx.stats.fault_fallbacks >= 1
+    for source in (_shader("0.4375"), LOOP_BREAK_SHADER):
+        with faults.suppress():
+            fb_jit, jit_ctx = _render(source, backend="jit")
+            fb_ast, __ = _render(source, backend="ast")
+        fallbacks_before = jit_mod.jit_fallbacks
+        with faults.inject_faults(jit_error=1.0, seed=22):
+            fb_fault, ctx = _render(source, backend="jit")
+        assert fb_fault.tobytes() == fb_jit.tobytes()
+        assert fb_fault.tobytes() == fb_ast.tobytes()
+        assert (_stats_tuple(ctx.stats.draws[-1])
+                == _stats_tuple(jit_ctx.stats.draws[-1]))
+        assert jit_mod.jit_fallbacks > fallbacks_before
+        assert ctx.stats.fault_fallbacks >= 1
+    # The loop-break draw really is one whose dynamic and static
+    # tallies differ (8x8 fragments; 4 iterations charged statically).
+    assert jit_ctx.stats.draws[-1].fragment_ops.snapshot() == {
+        "alu": 1920, "sfu": 256, "tex": 0,
+    }
 
 
 def test_jit_error_is_draw_granular():

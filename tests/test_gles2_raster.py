@@ -322,7 +322,7 @@ class TestLaunchPlanMemo:
         assert (draw_summary(ctx.stats.draws[1])
                 == draw_summary(fresh_ctx.stats.draws[0]))
 
-    @pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+    @pytest.mark.parametrize("backend", ["ast", "jit"])
     @pytest.mark.parametrize("tile_size,workers", [
         (None, 0), (4, 0), (4, 2),
     ])

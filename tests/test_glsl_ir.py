@@ -1,6 +1,6 @@
 """Unit tests for the linear IR: lowering, the individual optimisation
-passes, executor equivalence with the AST walker, and the compile
-caches."""
+passes, equivalence of the IR-compiled (JIT) backend with the AST
+walker, and the compile caches."""
 
 import numpy as np
 import pytest
@@ -136,8 +136,8 @@ void main() {
     ]
     assert len(constructs) == 2, dump_ir(program)
     fb_ast, __ = draw_for_capture(source, size=4, execution_backend="ast")
-    fb_ir, __ = draw_for_capture(source, size=4, execution_backend="ir")
-    assert np.array_equal(fb_ast, fb_ir)
+    fb_jit, __ = draw_for_capture(source, size=4, execution_backend="jit")
+    assert np.array_equal(fb_ast, fb_jit)
 
 
 def test_dce_removes_dead_declarations():
@@ -215,8 +215,8 @@ void main() {
 @pytest.mark.parametrize("source", DIVERGENT_SHADERS)
 def test_ir_backend_bit_equal_on_control_flow(source):
     fb_ast, __ = draw_for_capture(source, size=8, execution_backend="ast")
-    fb_ir, __ = draw_for_capture(source, size=8, execution_backend="ir")
-    assert np.array_equal(fb_ast, fb_ir)
+    fb_jit, __ = draw_for_capture(source, size=8, execution_backend="jit")
+    assert np.array_equal(fb_ast, fb_jit)
 
 
 # ----------------------------------------------------------------------

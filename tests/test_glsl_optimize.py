@@ -3,12 +3,12 @@
 import pytest
 
 from repro.glsl import ast_nodes as ast
-from repro.glsl.optimize import optimize
+from repro.glsl.ir.foldrules import fold_unit
 from repro.glsl.parser import parse
 
 
 def fold_main_body(body, decls=""):
-    unit = optimize(parse(decls + "\nvoid main() { " + body + " }"))
+    unit = fold_unit(parse(decls + "\nvoid main() { " + body + " }"))
     func = [d for d in unit.declarations if isinstance(d, ast.FunctionDef)][0]
     return func.body.statements
 
@@ -123,7 +123,7 @@ class TestBranchPruning:
         code under a driver that folds before checking."""
         from repro.glsl.typecheck import ShaderStage, check
 
-        unit = optimize(parse(
+        unit = fold_unit(parse(
             "void main() { if (false) { undeclared_name = 1.0; } "
             "gl_FragColor = vec4(1.0); }"
         ))
@@ -141,7 +141,7 @@ class TestEndToEnd:
         from repro.glsl.interp import Interpreter
         from repro.glsl.typecheck import ShaderStage, check
 
-        unit = optimize(parse(
+        unit = fold_unit(parse(
             "precision highp float;\n"
             "void main() {\n"
             "  float x = 2.0 * 8.0 + 4.0;\n"
@@ -170,7 +170,7 @@ class TestEndToEnd:
         def ops_with(optimise):
             unit = parse(source)
             if optimise:
-                unit = optimize(unit)
+                unit = fold_unit(unit)
             checked = check(unit, ShaderStage.FRAGMENT)
             counters = OpCounters()
             Interpreter(checked, counters=counters).execute(64, {})

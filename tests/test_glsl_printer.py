@@ -3,7 +3,7 @@
 import pytest
 
 from repro.glsl import ast_nodes as ast
-from repro.glsl.optimize import optimize
+from repro.glsl.ir.foldrules import fold_unit
 from repro.glsl.parser import parse
 from repro.glsl.printer import print_expr, print_stmt, print_unit
 
@@ -117,7 +117,7 @@ class TestDeclarations:
 
 class TestPrinterAfterOptimizer:
     def test_folded_tree_prints_folded_source(self):
-        unit = optimize(parse(
+        unit = fold_unit(parse(
             "void main() { float x = 2.0 * 3.0; if (true) { x = 1.0; } }"
         ))
         text = print_unit(unit)

@@ -22,7 +22,6 @@ from repro.workloads.pathfinder import pathfinder_cpu, pathfinder_gpu
 
 CONFIGS = [
     pytest.param("ast", {}, id="ast"),
-    pytest.param("ir", {}, id="ir"),
     pytest.param("jit", {}, id="jit"),
     pytest.param("jit", {"tile_size": 8}, id="jit-tiled"),
     pytest.param(

@@ -11,7 +11,7 @@ contract:
   the fast path fails here, per the contract note in
   ``repro.core.codegen.glsl_functions``);
 * gather-on and gather-forced-off JIT runs are bit-identical to each
-  other and to the IR executor;
+  other and to the AST interpreter;
 * the ``texture_gathers`` / ``gather_fallbacks`` DrawStats counters
   account for every gather-site execution, including when a runtime
   disqualification (wrap/filter/size mismatch, a non-integral or
@@ -118,7 +118,7 @@ class TestAnnotation:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: gather on == gather off == IR executor.
+# Bit-identity: gather on == gather off == AST interpreter.
 # ----------------------------------------------------------------------
 def _run_sum(backend: str, gather: bool = True):
     device = GpgpuDevice(float_model="videocore", execution_backend=backend)
@@ -161,23 +161,23 @@ def _run_sgemm(
 
 
 class TestBitIdentity:
-    def test_sum_gather_on_off_ir_identical(self):
+    def test_sum_gather_on_off_ast_identical(self):
         on, stats_on = _run_sum("jit", gather=True)
         off, stats_off = _run_sum("jit", gather=False)
-        ir, __ = _run_sum("ir")
+        ref, __ = _run_sum("ast")
         assert np.array_equal(on, off)
-        assert np.array_equal(on, ir)
+        assert np.array_equal(on, ref)
         assert stats_on.texture_gathers > 0
         assert stats_on.gather_fallbacks == 0
         assert stats_off.texture_gathers == 0
         assert stats_off.gather_fallbacks == 0
 
-    def test_sgemm_gather_on_off_ir_identical(self):
+    def test_sgemm_gather_on_off_ast_identical(self):
         on, stats_on = _run_sgemm("jit", gather=True)
         off, stats_off = _run_sgemm("jit", gather=False)
-        ir, __ = _run_sgemm("ir")
+        ref, __ = _run_sgemm("ast")
         assert np.array_equal(on, off)
-        assert np.array_equal(on, ir)
+        assert np.array_equal(on, ref)
         # 3 gather sites: two in-loop fetches plus the c0 tail fetch.
         assert stats_on.texture_gathers > 0
         assert stats_on.gather_fallbacks == 0

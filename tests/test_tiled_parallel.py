@@ -6,8 +6,8 @@ fragment batch into tiles — shaded in-process or on the worker pool —
 must produce the *byte-identical* framebuffer and the same merged
 DrawStats as the monolithic path.  The golden corpus doubles as the
 cross-check: every pinned framebuffer was generated monolithically, so
-rendering the corpus with tiling (all three backends, plus workers for
-the JIT) against the stored bytes catches any divergence.
+rendering the corpus with tiling (both backends, plus workers for the
+JIT) against the stored bytes catches any divergence.
 
 Also covered here:
 
@@ -68,6 +68,16 @@ varying vec2 v_uv;
 void main() {
     if (v_uv.x < 0.5) { discard; }
     gl_FragColor = vec4(v_uv, 0.25, 1.0);
+}
+"""
+
+GLOBAL_INIT_SHADER = """
+precision highp float;
+uniform float u_x;
+varying vec2 v_uv;
+float g = u_x * 2.0 + 1.0;
+void main() {
+    gl_FragColor = vec4(v_uv * g, 0.5, 1.0);
 }
 """
 
@@ -195,7 +205,7 @@ def test_partition_tiles_degenerate_cases():
 # Tiled vs monolithic bit-identity (golden corpus)
 # ======================================================================
 @pytest.mark.parametrize("backend,workers", [
-    ("ast", None), ("ir", None), ("jit", None), ("jit", 2),
+    ("ast", None), ("jit", None), ("jit", 2),
 ])
 @pytest.mark.parametrize(
     "entry", ENTRIES, ids=[entry.name for entry in ENTRIES]
@@ -224,7 +234,7 @@ def test_corpus_tiled_matches_golden(entry, backend, workers):
 # ======================================================================
 # Tiled vs monolithic: framebuffer AND merged DrawStats
 # ======================================================================
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ast", "jit"])
 @pytest.mark.parametrize("shader", [UV_SHADER, DISCARD_SHADER],
                          ids=["plain", "discard"])
 def test_tiled_matches_monolithic(backend, shader):
@@ -237,6 +247,25 @@ def test_tiled_matches_monolithic(backend, shader):
     # per-lane ops sum across the partition, and global-initializer
     # ops are charged once (first tile only).
     assert _stats_tuple(mono_draw) == _stats_tuple(tiled_draw)
+
+
+@pytest.mark.parametrize("tile_size,workers", [
+    (None, None), (2, None), (2, 2),
+], ids=["mono", "tiled", "workers"])
+def test_jit_charges_global_initializer_once(tile_size, workers):
+    """A non-constant global initialiser is per-draw work.  The JIT
+    charges it once, through the static projection, so its fragment
+    counters equal the AST interpreter's dynamic tally — untiled,
+    tiled, and on the worker pool."""
+    __, ast_ctx = _render(GLOBAL_INIT_SHADER, size=4, backend="ast")
+    __, jit_ctx = _render(
+        GLOBAL_INIT_SHADER, size=4, backend="jit",
+        tile_size=tile_size, shade_workers=workers,
+    )
+    (ast_draw,) = ast_ctx.stats.draws
+    (jit_draw,) = jit_ctx.stats.draws
+    assert ast_draw.fragment_ops.snapshot() == {"alu": 98, "sfu": 0, "tex": 0}
+    assert jit_draw.fragment_ops.snapshot() == ast_draw.fragment_ops.snapshot()
 
 
 def test_discard_spanning_tile_boundary():
@@ -355,7 +384,7 @@ def test_front_facing_tiled_identical():
         dtype=np.float32,
     )
     mono_fb, __ = _render(FRONT_SHADER, quad=mixed)
-    for backend in ("ast", "ir", "jit"):
+    for backend in ("ast", "jit"):
         tiled_fb, __ = _render(
             FRONT_SHADER, quad=mixed, backend=backend, tile_size=3
         )
@@ -466,7 +495,7 @@ def test_scissor_negative_extent_is_error():
 
 
 def test_scissored_draw_tiled_identical():
-    for backend in ("ast", "ir", "jit"):
+    for backend in ("ast", "jit"):
         mono_fb, __ = _render(
             UV_SHADER, size=8, backend=backend, scissor=(1, 2, 5, 4)
         )

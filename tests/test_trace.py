@@ -143,7 +143,7 @@ REQUIRED_DRAW_PHASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["ast", "ir", "jit"])
+@pytest.mark.parametrize("backend", ["ast", "jit"])
 def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     recorder = trace.start()
     _run_draw(backend)
@@ -159,8 +159,9 @@ def test_every_draw_phase_spans_all_backends(clean_recorder, backend):
     assert draw["args"]["backend"] == backend
     assert draw["args"]["fragment_invocations"] > 0
     assert draw["args"]["modeled_seconds"] > 0
-    if backend in ("ir", "jit"):
-        assert _spans(recorder, name=f"compile.{backend}")
+    if backend == "jit":
+        assert _spans(recorder, name="compile.ir")
+        assert _spans(recorder, name="compile.jit")
     assert _spans(recorder, cat="compile")
     assert _spans(recorder, cat="upload")
     assert _spans(recorder, name="readback.pixels")
@@ -316,7 +317,7 @@ def test_export_round_trips_with_monotonic_timestamps(clean_recorder,
                                                       tmp_path):
     path = tmp_path / "trace.json"
     recorder = trace.start(str(path))
-    _run_draw("ir")
+    _run_draw("jit")
     trace.stop(write=True)
     doc = json.loads(path.read_text())
     events = doc["traceEvents"]
