@@ -40,6 +40,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ...perf import trace
+from ...perf.counters import Counters, fault_path_stats
 from ..codegen.fuse import (
     FusedStage,
     compose_chain_cached,
@@ -184,7 +185,7 @@ class LaunchNode:
 
 
 @dataclass
-class ReplayStats:
+class ReplayStats(Counters):
     """What one replay did — deltas, also accumulated into the
     context's lifetime :class:`~repro.perf.counters.ContextStats`."""
 
@@ -358,18 +359,8 @@ class LaunchGraph:
         )
         if recorder is not None:
             recorder.complete(
-                "graph.replay", "graph", span_t0, perf_counter(), {
-                    "recorded": stats.recorded,
-                    "executed_draws": stats.executed_draws,
-                    "fused_draws": stats.fused_draws,
-                    "elided_draws": stats.elided_draws,
-                    "dead_launches": stats.dead_launches,
-                    "scratch_allocs": stats.scratch_allocs,
-                    "scratch_reuses": stats.scratch_reuses,
-                    "elided_intermediate_bytes": (
-                        stats.elided_intermediate_bytes
-                    ),
-                },
+                "graph.replay", "graph", span_t0, perf_counter(),
+                stats.snapshot(),
             )
         self.stats = stats
         return stats
@@ -589,7 +580,6 @@ class LaunchGraph:
             # count the degraded path and replay the chain eagerly —
             # fusion is an optimisation, the eager ladder is always
             # semantically complete.
-            from ...perf.counters import fault_path_stats
             from ...testing import faults
 
             fault_path_stats.fault_fallbacks += 1

@@ -22,9 +22,9 @@ Three artifact kinds are stored, one per pipeline stage:
 ``jit``
     The generated NumPy source plus its captured namespace in a
     pickle-safe encoding (arrays as-is, builtin implementations by
-    registry key), keyed additionally by the texture-gather flag and
-    the wide-global set.  Programs outside the JIT subset store an
-    ``unsupported`` marker so the negative result is warm too.
+    registry key), keyed additionally by the wide-global set.
+    Programs outside the JIT subset store an ``unsupported`` marker so
+    the negative result is warm too.
 
 Every key mixes in the cache schema version and the Python/NumPy
 versions (:func:`env_fingerprint`), so interpreter or dependency
@@ -50,9 +50,11 @@ Knobs (environment, read lazily so tests can flip them):
     the bound, oldest-access first, when a write overflows it.
 
 Observability: every lookup/eviction/corruption tallies into
-:data:`repro.perf.counters.disk_cache_stats`; GL contexts mirror the
-deltas into ``ContextStats`` and ``python -m repro.cache`` reports the
-store's contents (see that module for the maintenance CLI).
+:data:`repro.perf.counters.disk_cache_stats`; GL contexts claim each
+increment into their ``stats.disk`` exactly once (see
+:func:`repro.perf.counters.claim`), and ``python -m repro.cache``
+reports the store's contents (see that module for the maintenance
+CLI).
 """
 
 from __future__ import annotations
@@ -133,7 +135,6 @@ def artifact_key(
     *,
     stage: str = "",
     model: str = "",
-    gather: Optional[bool] = None,
     wide: Iterable[str] = (),
     fusion: str = "",
 ) -> str:
@@ -141,10 +142,10 @@ def artifact_key(
 
     Every knob that changes the artifact's bytes is a component:
     the GLSL source digest, the shader stage, the float model, the
-    texture-gather flag, the wide-global set (JIT only), the fusion
-    signature of composed map chains, the schema version, and the
-    Python/NumPy versions.  Execution-irrelevant knobs (``tile_size``,
-    ``shade_workers``, ``graph_mode``) deliberately have no component:
+    wide-global set (JIT only), the fusion signature of composed map
+    chains, the schema version, and the Python/NumPy versions.
+    Execution-irrelevant knobs (``tile_size``, ``shade_workers``,
+    ``graph_mode``) deliberately have no component:
     they change scheduling, never generated code.
     """
     parts = (
@@ -154,7 +155,6 @@ def artifact_key(
         f"src={source_digest}",
         f"stage={stage}",
         f"model={model}",
-        f"gather={'' if gather is None else int(bool(gather))}",
         f"wide={','.join(sorted(wide))}",
         f"fusion={fusion}",
     )
@@ -447,10 +447,6 @@ def _maybe_evict() -> None:
     finally:
         if lock_handle is not None:
             lock_handle.close()
-
-
-def reset_stats() -> None:
-    stats.reset()
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..perf import trace
-from ..perf.counters import ContextStats
+from ..perf.counters import ContextStats, claim
 from . import enums
 from .buffer_objects import BufferObject
 from .errors import ErrorState, SimulatorLimitation
@@ -102,13 +102,9 @@ class GLES2Context:
         #: Memoised pre-shade stages of this context's draws (see
         #: pipeline.LaunchPlanMemo); released with the context.
         self._launch_plans = LaunchPlanMemo()
-        # Baseline snapshots of the process-wide disk-cache and
-        # fault-path counters: per-context stats report the deltas
-        # accrued while this context was doing the compiling/drawing.
-        from ..perf.counters import disk_cache_stats, fault_path_stats
-
-        self._disk_stats_last = disk_cache_stats.snapshot()
-        self._fault_stats_last = fault_path_stats.snapshot()
+        # Process-wide disk-cache and fault-path activity before this
+        # context existed belongs to no context: claim and discard it.
+        claim()
         trace.instant("device.context", "device", {
             "float_model": getattr(float_model, "name",
                                    type(float_model).__name__),
@@ -584,7 +580,7 @@ class GLES2Context:
         self.stats.shader_compiles += 1
         if getattr(obj, "loaded_from_disk", False):
             self.stats.disk_warm_compiles += 1
-        self._sync_disk_cache_stats()
+        self._claim()
 
     def glGetShaderiv(self, shader: int, pname: int) -> int:
         obj = self._shaders.get(shader)
@@ -768,8 +764,6 @@ class GLES2Context:
                                           count)
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
-        else:
-            self.stats.uniform_updates += 1
 
     def _set_uniform_i(self, location: int, components: int, values, count: int) -> None:
         prog = self._uniform_program()
@@ -782,8 +776,6 @@ class GLES2Context:
                                         count)
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
-        else:
-            self.stats.uniform_updates += 1
 
     def glUniform1f(self, location, x):
         self._set_uniform_f(location, 1, [x], 1)
@@ -843,8 +835,6 @@ class GLES2Context:
         )
         if message:
             self._error(enums.GL_INVALID_OPERATION, message)
-        else:
-            self.stats.uniform_updates += 1
 
     def glUniformMatrix2fv(self, location, count, transpose, values):
         self._set_uniform_matrix(location, 2, count, transpose, values)
@@ -1113,11 +1103,6 @@ class GLES2Context:
             return self._texture_at_unit(unit)
 
         with trace.span("draw", "draw") as sp:
-            if sp is not None:
-                from ..perf.counters import disk_cache_stats, fault_path_stats
-
-                disk_before = disk_cache_stats.snapshot()
-                fault_before = fault_path_stats.snapshot()
             stats = execute_draw(
                 prog,
                 self._attribs,
@@ -1135,11 +1120,13 @@ class GLES2Context:
                 shade_workers=self.shade_workers,
                 plans=self._launch_plans,
             )
+            # IR/JIT artifacts are pulled from the persistent store
+            # lazily at first-draw time (not at glCompileShader), so
+            # the draw claims too.
+            disk_delta, fault_delta = self._claim()
             if sp is not None:
                 from ..perf.gpu_model import GpuModel
 
-                disk_after = disk_cache_stats.snapshot()
-                fault_after = fault_path_stats.snapshot()
                 sp.args.update({
                     "draw_index": len(self.stats.draws),
                     "backend": self.execution_backend,
@@ -1155,63 +1142,20 @@ class GLES2Context:
                     "modeled_seconds": GpuModel().draw_time(
                         stats
                     ).total_seconds,
-                    "disk_cache_delta": {
-                        key: disk_after[key] - disk_before[key]
-                        for key in disk_after
-                        if disk_after[key] != disk_before[key]
-                    },
-                    "fault_path_delta": {
-                        key: fault_after[key] - fault_before[key]
-                        for key in fault_after
-                        if fault_after[key] != fault_before[key]
-                    },
+                    "disk_cache_delta": disk_delta,
+                    "fault_path_delta": fault_delta,
                 })
         self.stats.draws.append(stats)
-        # IR/JIT artifacts are pulled from the persistent store lazily
-        # at first-draw time (not at glCompileShader), so fold the
-        # counter deltas in here too.
-        self._sync_disk_cache_stats()
 
-    def _sync_disk_cache_stats(self) -> None:
-        """Accumulate process-wide artifact-store and fault-path
-        counter deltas since the last sync into this context's stats.
-        Keeps per-context numbers meaningful when several contexts (or
-        none — e.g. the maintenance CLI) touch the shared store in one
-        process."""
-        from ..perf.counters import disk_cache_stats, fault_path_stats
-
-        current = disk_cache_stats.snapshot()
-        last = self._disk_stats_last
-        self.stats.disk_cache_hits += current["hits"] - last["hits"]
-        self.stats.disk_cache_misses += (
-            current["misses"] - last["misses"]
-        )
-        self.stats.disk_cache_evictions += (
-            current["evictions"] - last["evictions"]
-        )
-        self.stats.disk_cache_corrupt += (
-            current["corrupt"] - last["corrupt"]
-        )
-        self.stats.cache_write_failures += (
-            current["write_failures"] - last["write_failures"]
-        )
-        self.stats.cache_orphans_removed += (
-            current["orphans_removed"] - last["orphans_removed"]
-        )
-        self._disk_stats_last = current
-
-        fcurrent = fault_path_stats.snapshot()
-        flast = self._fault_stats_last
-        self.stats.worker_retries += (
-            fcurrent["worker_retries"] - flast["worker_retries"]
-        )
-        self.stats.pool_restarts += (
-            fcurrent["pool_restarts"] - flast["pool_restarts"]
-        )
-        self.stats.fault_fallbacks += (
-            fcurrent["fault_fallbacks"] - flast["fault_fallbacks"]
-        )
-        self._fault_stats_last = fcurrent
+    def _claim(self):
+        """Claim the process-wide disk-cache and fault-path increments
+        since the previous claim by any context (see
+        :func:`repro.perf.counters.claim`) into this context's stats;
+        returns them."""
+        disk_delta, fault_delta = claim()
+        self.stats.disk.add(disk_delta)
+        self.stats.faults.add(fault_delta)
+        return disk_delta, fault_delta
 
 
 def _gl_type_of(gtype) -> int:

@@ -60,8 +60,9 @@ every pool failure mode has a typed, counted, bounded response — see
   in-process without paying restart latency); any successful dispatch
   resets the streak.
 
-The counters live in :data:`repro.perf.counters.fault_path_stats` and
-are folded per-context like the disk-cache tallies.  Deterministic
+The counters live in :data:`repro.perf.counters.fault_path_stats`;
+each increment is claimed by exactly one GL context's
+``stats.faults`` (see :func:`repro.perf.counters.claim`).  Deterministic
 fault injection for every one of these paths is provided by
 :mod:`repro.testing.faults` (``worker_crash`` / ``worker_hang`` /
 ``worker_garble`` sites; the leader ships the active plan inside each

@@ -26,7 +26,6 @@ Because the generated code does not tally ops dynamically, every draw
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
@@ -34,12 +33,7 @@ import numpy as np
 from ..interp import DEFAULT_MAX_LOOP_ITERATIONS, Interpreter
 from ..ir import get_compiled, static_cost
 from ..values import Value, zeros_for
-from .codegen import (
-    JitUnsupported,
-    gather_enabled,
-    generate,
-    set_gather_enabled,
-)
+from .codegen import JitUnsupported, generate
 from .uniform import UniformInfo, infer_uniform
 
 __all__ = [
@@ -47,14 +41,11 @@ __all__ = [
     "JitUnsupported",
     "UniformInfo",
     "codegen_events",
-    "gather_enabled",
     "infer_uniform",
     "jit_fallbacks",
     "materialize",
     "reset_codegen_events",
     "reset_fallbacks",
-    "set_gather_enabled",
-    "texture_gather",
 ]
 
 #: Number of draws that fell back to the AST interpreter because the
@@ -83,19 +74,6 @@ def reset_fallbacks() -> None:
 def _bump_fallbacks() -> None:
     global jit_fallbacks
     jit_fallbacks += 1
-
-
-@contextlib.contextmanager
-def texture_gather(enabled: bool):
-    """Scoped override of the texture-gather fast path (tests, A/B
-    comparison).  Generation-time flag: functions generated inside the
-    scope carry the override for their lifetime; functions cached
-    earlier are untouched (the cache is keyed on the flag)."""
-    previous = set_gather_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_gather_enabled(previous)
 
 
 def materialize(source: str, captured: Dict[str, object], fmodel):
@@ -130,15 +108,13 @@ def _disk_key(program, fmodel, wide: FrozenSet[str]):
         "jit", digest,
         stage=getattr(program.checked, "stage", ""),
         model=artifact_cache.model_tag(fmodel),
-        gather=gather_enabled(),
         wide=wide,
         fusion=getattr(program.checked, "fusion_signature", ""),
     )
 
 
 def _jit_function(program, fmodel, wide: FrozenSet[str]):
-    """Cached codegen: one compiled function per (program, wide set,
-    gather flag).
+    """Cached codegen: one compiled function per (program, wide set).
 
     ``program`` instances are already memoised per (shader, float
     model) by :func:`repro.glsl.ir.get_compiled`, so attaching the JIT
@@ -170,13 +146,12 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
     cache = getattr(program, "_jit_cache", None)
     if cache is None:
         cache = program._jit_cache = {}
-    key = (wide, gather_enabled())
-    if key in cache:
-        return cache[key]
+    if wide in cache:
+        return cache[wide]
     rejected = getattr(program, "_jit_unsupported", None)
     if rejected is None:
         rejected = program._jit_unsupported = {}
-    if key in rejected:
+    if wide in rejected:
         return None
     from ...perf import trace
 
@@ -190,7 +165,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 entry = artifact_cache.load_jit_entry(payload)
                 fn = None
                 if entry is not None and "unsupported" in entry:
-                    rejected[key] = entry["unsupported"]
+                    rejected[wide] = entry["unsupported"]
                     codegen_events["disk"] += 1
                     if sp is not None:
                         sp.args.update(event="disk", unsupported=True)
@@ -217,7 +192,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 if fn is not None:
                     fn._jit_disk_key = disk_key
                     codegen_events["disk"] += 1
-                    cache[key] = fn
+                    cache[wide] = fn
                     if sp is not None:
                         sp.args["event"] = "disk"
                     return fn
@@ -225,7 +200,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
         try:
             fn = generate(program, fmodel, wide)
         except JitUnsupported as exc:
-            rejected[key] = str(exc)
+            rejected[wide] = str(exc)
             if disk_key is not None:
                 artifact_cache.put(
                     disk_key,
@@ -249,7 +224,7 @@ def _jit_function(program, fmodel, wide: FrozenSet[str]):
                 )
         else:
             codegen_events["uncached"] += 1
-        cache[key] = fn
+        cache[wide] = fn
         if sp is not None:
             sp.args["event"] = (
                 "fresh" if disk_key is not None else "uncached"

@@ -55,7 +55,6 @@ values, multi-step or struct-field l-value paths — raises
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -90,28 +89,6 @@ _COMPARE_SYMBOL = {"<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 #: texture dispatch codes for the _tex helper
 _TEX_KIND = {"texture2DProj3": 1, "texture2DProj4": 2, "textureCube": 3}
-
-#: Texture-gather fast path master switch.  On by default; the
-#: REPRO_TEXTURE_GATHER env var ("0" disables) sets the process
-#: default and set_gather_enabled flips it at runtime (tests, A/B
-#: benchmarking).  The flag is read at *generation* time: flipping it
-#: produces a distinct cached function (see _jit_function's cache
-#: key), and worker processes inherit whatever the leader generated
-#: because they receive the already-emitted source.
-_GATHER_ENABLED = os.environ.get("REPRO_TEXTURE_GATHER", "1") != "0"
-
-
-def gather_enabled() -> bool:
-    return _GATHER_ENABLED
-
-
-def set_gather_enabled(enabled: bool) -> bool:
-    """Set the gather flag; returns the previous value."""
-    global _GATHER_ENABLED
-    previous = _GATHER_ENABLED
-    _GATHER_ENABLED = bool(enabled)
-    return previous
-
 
 def _ndim(gtype: GlslType) -> int:
     """Static ndim of a value's batched data array."""
@@ -360,11 +337,10 @@ def make_helpers(fmodel) -> Dict[str, object]:
 # ======================================================================
 class CodeGen:
     def __init__(self, program: CompiledProgram, fmodel,
-                 wide_globals: Set[str], gather: Optional[bool] = None):
+                 wide_globals: Set[str]):
         self.program = program
         self.fmodel = fmodel
         self.exact = fmodel.name == "exact"
-        self.gather = _GATHER_ENABLED if gather is None else gather
         self.uinfo: UniformInfo = infer_uniform(program, set(wide_globals))
         self.lines: List[str] = []
         self.level = 1
@@ -978,8 +954,7 @@ class CodeGen:
         # round-trip proof assumes IEEE arithmetic on the stored
         # dtype), and only for width-1 size registers (the helper
         # reads scalar dimensions out of them).
-        if (gather is not None and kind == 0 and self.gather
-                and sampler != "None"
+        if (gather is not None and kind == 0 and sampler != "None"
                 and (self.exact or self.fmodel.quantize_is_cast("alu"))
                 and self.uinfo.is_uniform(gather[0])):
             size_reg, x_reg, y_reg = gather
@@ -1162,15 +1137,11 @@ class CodeGen:
         return m
 
 
-def generate(program: CompiledProgram, fmodel, wide_globals: Set[str],
-             gather: Optional[bool] = None):
+def generate(program: CompiledProgram, fmodel, wide_globals: Set[str]):
     """Generate and compile the JIT function for one program under one
     wide-global set.  Returns the callable ``fn(regs, n, maxit)``;
-    raises :class:`JitUnsupported` for programs outside the subset.
-
-    ``gather`` overrides the module gather flag for this function
-    (None = use the flag)."""
-    gen = CodeGen(program, fmodel, wide_globals, gather=gather)
+    raises :class:`JitUnsupported` for programs outside the subset."""
+    gen = CodeGen(program, fmodel, wide_globals)
     source = gen.generate()
     ns = make_helpers(fmodel)
     ns.update(gen.ns)

@@ -6,6 +6,12 @@ them per draw call (:class:`DrawStats`) and per context lifetime
 (:class:`ContextStats`).  The performance models in this package turn
 these counts into simulated wall time.
 
+Every stats record is a :class:`Counters` dataclass: its declared
+fields are its counters, and reset/snapshot/delta/add walk them.
+The two process-wide records (:data:`disk_cache_stats`,
+:data:`fault_path_stats`) are attributed to GL contexts through
+:func:`claim`, exactly once per increment.
+
 :func:`static_shader_ops` is the static counterpart: it projects the
 same counter totals from the *compiled IR artifact*
 (:mod:`repro.glsl.ir`) without running the shader at all — op table ×
@@ -16,14 +22,85 @@ flow degrades it to an estimate and clears the ``exact`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Tuple
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _copy(value):
+    if isinstance(value, Counters):
+        return value.snapshot()
+    if isinstance(value, list):
+        return list(value)
+    return value
+
+
+def _change(now, before):
+    """``now``'s increment over ``before``; falsy when unchanged."""
+    if isinstance(now, Counters):
+        return now.delta(before)
+    if isinstance(now, list):
+        return now[len(before):]
+    if now is None or before is None:
+        return now
+    return now - before
+
+
+class Counters:
+    """Base of every counter record: a ``@dataclass`` whose declared
+    fields are its counters, so adding a counter is one field
+    declaration.
+
+    A field is a tally (int or float), a nested :class:`Counters`
+    record, an append-only list (the draw log), or an optional value
+    that stays ``None`` until set.
+    """
+
+    def reset(self) -> None:
+        """Every field back to its declared default."""
+        self.__init__()
+
+    def snapshot(self) -> Dict[str, object]:
+        """A plain-data copy of every field (nested records as dicts)."""
+        return {name: _copy(getattr(self, name))
+                for name in _field_names(type(self))}
+
+    def delta(self, before: Mapping[str, object]) -> Dict[str, object]:
+        """The fields that changed since ``before`` (a :meth:`snapshot`),
+        as increments: a tally's difference, a nested record's delta, a
+        list's new tail.  Unchanged fields are left out."""
+        changes = {}
+        for name in _field_names(type(self)):
+            now, was = getattr(self, name), before[name]
+            if now != was:
+                change = _change(now, was)
+                if change:
+                    changes[name] = change
+        return changes
+
+    def add(self, delta: Mapping[str, object]) -> None:
+        """Apply increments shaped like :meth:`delta`'s result."""
+        for name, change in delta.items():
+            value = getattr(self, name)
+            if isinstance(value, Counters):
+                value.add(change)
+            elif isinstance(value, list):
+                value.extend(change)
+            else:
+                setattr(self, name,
+                        change if value is None else value + change)
 
 
 @dataclass
-class DiskCacheStats:
-    """Process-lifetime tallies of the on-disk compile-artifact cache
-    (:mod:`repro.core.cache`).
+class DiskCacheStats(Counters):
+    """Tallies of the on-disk compile-artifact cache
+    (:mod:`repro.core.cache`): process-wide in
+    :data:`disk_cache_stats`, per context in ``ContextStats.disk``.
 
     ``hits``/``misses`` count entry lookups; ``evictions`` counts
     entries removed by the LRU size bound; ``corrupt`` counts entries
@@ -51,39 +128,16 @@ class DiskCacheStats:
     load_failures: int = 0
     lock_skips: int = 0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.write_failures = 0
-        self.orphans_removed = 0
-        self.load_failures = 0
-        self.lock_skips = 0
 
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "write_failures": self.write_failures,
-            "orphans_removed": self.orphans_removed,
-            "load_failures": self.load_failures,
-            "lock_skips": self.lock_skips,
-        }
-
-
-#: The process-global sink :mod:`repro.core.cache` reports into.  GL
-#: contexts mirror deltas of these into their own
-#: :class:`ContextStats` fields (see ``disk_cache_hits`` & friends).
+#: The process-global sink :mod:`repro.core.cache` reports into.
 disk_cache_stats = DiskCacheStats()
 
 
 @dataclass
-class FaultPathStats:
-    """Process-lifetime tallies of the runtime's degraded paths — how
-    often a fallback actually ran, injected or organic.
+class FaultPathStats(Counters):
+    """Tallies of the runtime's degraded paths — how often a fallback
+    actually ran, injected or organic: process-wide in
+    :data:`fault_path_stats`, per context in ``ContextStats.faults``.
 
     ``worker_retries`` counts pool draw dispatches re-attempted after
     a recoverable pool failure (broken pool, timeout, malformed chunk
@@ -102,24 +156,36 @@ class FaultPathStats:
     pool_restarts: int = 0
     fault_fallbacks: int = 0
 
-    def reset(self) -> None:
-        self.worker_retries = 0
-        self.pool_restarts = 0
-        self.fault_fallbacks = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "worker_retries": self.worker_retries,
-            "pool_restarts": self.pool_restarts,
-            "fault_fallbacks": self.fault_fallbacks,
-        }
-
 
 #: The process-global sink the hardened fallback paths report into
 #: (:mod:`repro.gles2.parallel`, :mod:`repro.core.api.graph`,
-#: :mod:`repro.glsl.jit`).  GL contexts mirror deltas into
-#: :class:`ContextStats` like the disk-cache tallies.
+#: :mod:`repro.glsl.jit`).
 fault_path_stats = FaultPathStats()
+
+#: What :func:`claim` has already attributed of the two process-wide
+#: records.
+_claimed_disk = disk_cache_stats.snapshot()
+_claimed_faults = fault_path_stats.snapshot()
+
+
+def claim() -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The :data:`disk_cache_stats` and :data:`fault_path_stats`
+    increments since the previous claim by *any* caller, as
+    :meth:`Counters.delta` dicts; advances the shared baseline past
+    them.  A GL context claims after each compile and draw, so when
+    several contexts share a process every increment is attributed to
+    exactly one of them."""
+    global _claimed_disk, _claimed_faults
+    disk, faults = {}, {}
+    # Both records are flat, so an instance dict equals its snapshot:
+    # the common nothing-new claim of every draw is two dict compares.
+    if vars(disk_cache_stats) != _claimed_disk:
+        disk = disk_cache_stats.delta(_claimed_disk)
+        _claimed_disk = disk_cache_stats.snapshot()
+    if vars(fault_path_stats) != _claimed_faults:
+        faults = fault_path_stats.delta(_claimed_faults)
+        _claimed_faults = fault_path_stats.snapshot()
+    return disk, faults
 
 
 class OpCounters:
@@ -207,7 +273,7 @@ class DrawStats:
 
 
 @dataclass
-class ContextStats:
+class ContextStats(Counters):
     """Lifetime counters for one GL context — the raw material for the
     wall-time model."""
 
@@ -217,7 +283,6 @@ class ContextStats:
     texture_upload_bytes: int = 0
     buffer_upload_bytes: int = 0
     readback_bytes: int = 0
-    uniform_updates: int = 0
     #: Launch-graph scheduler accounting (repro.core.api.graph).
     #: ``fused_draws`` counts draws that executed a fused map chain;
     #: ``elided_draws`` counts recorded launches folded into another
@@ -235,32 +300,20 @@ class ContextStats:
     scratch_allocs: int = 0
     scratch_reuses: int = 0
     elided_intermediate_bytes: int = 0
-    #: On-disk compile-artifact cache activity attributed to this
-    #: context (deltas of :data:`disk_cache_stats` folded in by the
-    #: context around compiles and draws).  ``disk_warm_compiles``
-    #: counts glCompileShader calls whose front-end artifact came from
-    #: the disk cache instead of a fresh parse/typecheck — the
-    #: wall-time model can price those at the warm compile cost
-    #: (see :class:`repro.perf.machines.GpuParameters`).
-    disk_cache_hits: int = 0
-    disk_cache_misses: int = 0
-    disk_cache_evictions: int = 0
-    disk_cache_corrupt: int = 0
+    #: glCompileShader calls whose front-end artifact came from the
+    #: disk cache instead of a fresh parse/typecheck — the wall-time
+    #: model prices those at the warm compile cost (see
+    #: :class:`repro.perf.machines.GpuParameters`).
     disk_warm_compiles: int = 0
-    #: Failure-path activity attributed to this context (deltas of
-    #: :data:`fault_path_stats` and the disk store's failure tallies,
-    #: folded in alongside the disk-cache counters).  Non-zero values
-    #: mean a degraded-but-bit-identical path ran: a pool dispatch was
-    #: retried (``worker_retries``) over a rebuilt pool
-    #: (``pool_restarts``), a draw/fusion/JIT fell back to its slower
-    #: twin (``fault_fallbacks``), a cache publish failed
-    #: (``cache_write_failures``), or the trim swept stale temp files
-    #: (``cache_orphans_removed``).
-    worker_retries: int = 0
-    pool_restarts: int = 0
-    fault_fallbacks: int = 0
-    cache_write_failures: int = 0
-    cache_orphans_removed: int = 0
+    #: The share of the process-wide disk-cache and fault-path tallies
+    #: this context claimed (see :func:`claim`).  Non-zero fault
+    #: counts mean a degraded-but-bit-identical path ran.
+    disk: DiskCacheStats = field(default_factory=DiskCacheStats)
+    faults: FaultPathStats = field(default_factory=FaultPathStats)
+    #: Set on stats projected by :mod:`repro.perf.extrapolate`, which
+    #: merge many draws into one record: the true draw-call count, for
+    #: the per-draw driver overhead.
+    projected_draw_calls: Optional[float] = None
 
     def total_fragments(self) -> int:
         return sum(d.fragment_invocations for d in self.draws)
@@ -274,28 +327,3 @@ class ContextStats:
             acc.merge(draw.vertex_ops)
             acc.merge(draw.fragment_ops)
         return acc
-
-    def reset(self) -> None:
-        self.draws.clear()
-        self.shader_compiles = 0
-        self.program_links = 0
-        self.texture_upload_bytes = 0
-        self.buffer_upload_bytes = 0
-        self.readback_bytes = 0
-        self.uniform_updates = 0
-        self.fused_draws = 0
-        self.elided_draws = 0
-        self.dead_launches = 0
-        self.scratch_allocs = 0
-        self.scratch_reuses = 0
-        self.elided_intermediate_bytes = 0
-        self.disk_cache_hits = 0
-        self.disk_cache_misses = 0
-        self.disk_cache_evictions = 0
-        self.disk_cache_corrupt = 0
-        self.disk_warm_compiles = 0
-        self.worker_retries = 0
-        self.pool_restarts = 0
-        self.fault_fallbacks = 0
-        self.cache_write_failures = 0
-        self.cache_orphans_removed = 0

@@ -62,7 +62,6 @@ _CONTEXT_FIELDS = (
     "texture_upload_bytes",
     "buffer_upload_bytes",
     "readback_bytes",
-    "uniform_updates",
 )
 
 

@@ -64,15 +64,13 @@ class GpuModel:
         # Projected stats (perf.extrapolate) merge many draws into one
         # record but carry the true draw-call count for the per-draw
         # driver overhead.
-        projected_calls = getattr(stats, "projected_draw_calls", None)
-        if projected_calls is not None:
-            total += (projected_calls - len(stats.draws)) * self.params.draw_overhead_seconds
+        calls = stats.projected_draw_calls
+        if calls is not None:
+            total += (calls - len(stats.draws)) * self.params.draw_overhead_seconds
         return total
 
     def compile_seconds(self, stats: ContextStats) -> float:
-        warm = min(
-            getattr(stats, "disk_warm_compiles", 0), stats.shader_compiles
-        )
+        warm = min(stats.disk_warm_compiles, stats.shader_compiles)
         cold = stats.shader_compiles - warm
         warm_cost = self.params.warm_shader_compile_seconds
         if warm_cost is None:

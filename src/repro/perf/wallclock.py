@@ -63,11 +63,10 @@ def gpu_wall_time(
 ) -> GpuTimeline:
     """Assemble the wall time of everything a context did."""
     model = GpuModel(params)
-    elided_bytes = getattr(stats, "elided_intermediate_bytes", 0)
     # The counter prices both legs of each skipped intermediate — the
     # framebuffer write (upload-rate leg) *and* the texture re-read by
     # the consumer (readback-rate leg) — in equal byte halves.
-    elided_half = elided_bytes / 2
+    elided_half = stats.elided_intermediate_bytes / 2
     return GpuTimeline(
         compile_seconds=model.compile_seconds(stats),
         upload_seconds=model.upload_seconds(stats),

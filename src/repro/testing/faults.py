@@ -70,7 +70,6 @@ __all__ = [
     "install_encoded",
     "note_swallowed",
     "parse_spec",
-    "reset_stats",
     "snapshot",
     "suppress",
 ]
@@ -102,11 +101,6 @@ fault_fires: Dict[str, int] = {}
 #: Process-lifetime tally of queries per site (fired or not) — proves
 #: a site is actually wired into the runtime.
 fault_queries: Dict[str, int] = {}
-
-
-def reset_stats() -> None:
-    fault_fires.clear()
-    fault_queries.clear()
 
 
 def snapshot() -> Dict[str, Dict[str, int]]:

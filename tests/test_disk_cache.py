@@ -208,7 +208,7 @@ def test_unit_level_corruption_is_a_counted_miss():
 # ----------------------------------------------------------------------
 def test_every_codegen_knob_fragments_the_key():
     base = dict(
-        stage="fragment", model="exact:<f8", gather=True,
+        stage="fragment", model="exact:<f8",
         wide=frozenset({"x"}), fusion="",
     )
     key = store.artifact_key("jit", "cafe", **base)
@@ -220,8 +220,6 @@ def test_every_codegen_knob_fragments_the_key():
             "jit", "cafe", **{**base, "stage": "vertex"})),
         ("model", store.artifact_key(
             "jit", "cafe", **{**base, "model": "ieee32:<f4"})),
-        ("gather", store.artifact_key(
-            "jit", "cafe", **{**base, "gather": False})),
         ("wide", store.artifact_key(
             "jit", "cafe", **{**base, "wide": frozenset({"x", "y"})})),
         ("fusion", store.artifact_key(
@@ -239,10 +237,10 @@ def test_every_codegen_knob_fragments_the_key():
     )
 
 
-def test_in_memory_jit_key_covers_gather_and_wide():
+def test_in_memory_jit_key_covers_wide():
     from repro.gles2 import enums, shader as shader_mod
     from repro.glsl.interp import _ExactModel
-    from repro.glsl.jit import _jit_function, texture_gather
+    from repro.glsl.jit import _jit_function
 
     obj = shader_mod.Shader(1, enums.GL_FRAGMENT_SHADER)
     obj.source = """
@@ -258,11 +256,9 @@ def test_in_memory_jit_key_covers_gather_and_wide():
         _jit_function(program, fmodel, frozenset()),
         _jit_function(program, fmodel, frozenset({"u_a"})),
     }
-    with texture_gather(not jit_mod.gather_enabled()):
-        fns.add(_jit_function(program, fmodel, frozenset()))
     fns.discard(None)
-    assert len(fns) == 3  # gather flag and wide set each fragment
-    assert len(program._jit_cache) == 3
+    assert len(fns) == 2  # the wide set fragments the memo
+    assert len(program._jit_cache) == 2
 
 
 def test_execution_knobs_do_not_fragment_the_key(tmp_path):

@@ -304,9 +304,9 @@ def test_worker_crash_falls_back_bit_identical():
     assert _stats_tuple(ctx_fault.stats.draws[-1]) == \
         _stats_tuple(ctx_inproc.stats.draws[-1])
     assert parallel.parallel_draws == draws_before
-    assert ctx_fault.stats.worker_retries >= 1
-    assert ctx_fault.stats.pool_restarts >= 1
-    assert ctx_fault.stats.fault_fallbacks >= 1
+    assert ctx_fault.stats.faults.worker_retries >= 1
+    assert ctx_fault.stats.faults.pool_restarts >= 1
+    assert ctx_fault.stats.faults.fault_fallbacks >= 1
 
 
 def test_worker_garble_retries_then_succeeds():
@@ -332,9 +332,9 @@ def test_worker_garble_retries_then_succeeds():
         )
     assert fb_fault.tobytes() == fb_healthy.tobytes()
     assert parallel.parallel_draws == draws_before + 1
-    assert ctx_fault.stats.worker_retries >= 1
-    assert ctx_fault.stats.pool_restarts == 0
-    assert ctx_fault.stats.fault_fallbacks == 0
+    assert ctx_fault.stats.faults.worker_retries >= 1
+    assert ctx_fault.stats.faults.pool_restarts == 0
+    assert ctx_fault.stats.faults.fault_fallbacks == 0
 
 
 def test_worker_garble_persistent_falls_back():
@@ -342,7 +342,7 @@ def test_worker_garble_persistent_falls_back():
     with faults.inject_faults(worker_garble=1.0, seed=203):
         fb_fault, ctx_fault = _pool_render()
     assert fb_fault.tobytes() == fb_healthy.tobytes()
-    assert ctx_fault.stats.fault_fallbacks >= 1
+    assert ctx_fault.stats.faults.fault_fallbacks >= 1
 
 
 def test_worker_hang_hits_draw_timeout(monkeypatch):
@@ -353,8 +353,8 @@ def test_worker_hang_hits_draw_timeout(monkeypatch):
         fb_fault, ctx_fault = _pool_render()
         elapsed = time.monotonic() - start
     assert fb_fault.tobytes() == fb_healthy.tobytes()
-    assert ctx_fault.stats.pool_restarts >= 1
-    assert ctx_fault.stats.fault_fallbacks >= 1
+    assert ctx_fault.stats.faults.pool_restarts >= 1
+    assert ctx_fault.stats.faults.fault_fallbacks >= 1
     # The per-draw deadline bounded the wait: two attempts at ~0.3 s
     # each plus fallback shading, nowhere near an unbounded hang.
     assert elapsed < 10.0
@@ -447,7 +447,7 @@ def test_cache_corrupt_render_recompiles_bit_identical(
         fb_fault, ctx = _render(source, backend=backend)
     assert fb_fault.tobytes() == fb_healthy.tobytes()
     assert cache.stats.corrupt > corrupt_before
-    assert ctx.stats.disk_cache_corrupt >= 1
+    assert ctx.stats.disk.corrupt >= 1
 
 
 def test_cache_enospc_write_is_counted(monkeypatch, tmp_path):
@@ -472,7 +472,7 @@ def test_cache_enospc_render_still_correct(monkeypatch, tmp_path):
     with faults.inject_faults(cache_enospc=1.0, seed=14):
         fb_fault, ctx = _render(source, backend="jit")
     assert fb_fault.tobytes() == fb_healthy.tobytes()
-    assert ctx.stats.cache_write_failures >= 1
+    assert ctx.stats.disk.write_failures >= 1
     # Nothing was published — and nothing broke.
     assert list(cache.iter_entries()) == []
 
@@ -535,7 +535,7 @@ def test_fuse_failure_replays_eagerly_bit_identical(backend):
     # fell back to its eager ladder, and the degradation was counted.
     assert graph_dev.ctx.stats.fused_draws == 0
     assert graph_dev.ctx.stats.elided_draws == 0
-    assert graph_dev.ctx.stats.fault_fallbacks >= 1
+    assert graph_dev.ctx.stats.faults.fault_fallbacks >= 1
 
 
 #: A data-dependent ``break`` in a 4-iteration loop: the AST
@@ -574,7 +574,7 @@ def test_jit_error_falls_back_to_ast_bit_identical():
         assert (_stats_tuple(ctx.stats.draws[-1])
                 == _stats_tuple(jit_ctx.stats.draws[-1]))
         assert jit_mod.jit_fallbacks > fallbacks_before
-        assert ctx.stats.fault_fallbacks >= 1
+        assert ctx.stats.faults.fault_fallbacks >= 1
     # The loop-break draw really is one whose dynamic and static
     # tallies differ (8x8 fragments; 4 iterations charged statically).
     assert jit_ctx.stats.draws[-1].fragment_ops.snapshot() == {
@@ -593,5 +593,22 @@ def test_jit_error_is_draw_granular():
         fb_next, ctx_next = _render(source, backend="jit")
     assert fb_fault.tobytes() == fb_healthy.tobytes()
     assert fb_next.tobytes() == fb_healthy.tobytes()
-    assert ctx_fault.stats.fault_fallbacks >= 1
-    assert ctx_next.stats.fault_fallbacks == 0
+    assert ctx_fault.stats.faults.fault_fallbacks >= 1
+    assert ctx_next.stats.faults.fault_fallbacks == 0
+
+
+def test_fault_counts_are_claimed_by_exactly_one_context():
+    """Two live contexts: B's degraded draw is counted in B's stats
+    only, never again in A's when A draws next."""
+    source = _shader("0.40625")
+    with faults.suppress():
+        __, ctx_a = _render(source, backend="jit")
+    fallbacks_before = fault_path_stats.fault_fallbacks
+    with faults.inject_faults(jit_error=1.0, seed=24):
+        __, ctx_b = _render(source, backend="jit")
+    process_delta = fault_path_stats.fault_fallbacks - fallbacks_before
+    with faults.suppress():
+        ctx_a.glDrawArrays(gl.GL_TRIANGLES, 0, 6)
+    assert process_delta >= 1
+    assert ctx_b.stats.faults.fault_fallbacks == process_delta
+    assert ctx_a.stats.faults.fault_fallbacks == 0

@@ -1,9 +1,19 @@
 """Performance-model tests: counters, machine models, extrapolation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.perf.counters import ContextStats, DrawStats, OpCounters
+from repro.core.api.graph import ReplayStats
+from repro.perf.counters import (
+    ContextStats,
+    Counters,
+    DiskCacheStats,
+    DrawStats,
+    FaultPathStats,
+    OpCounters,
+)
 from repro.perf.cpu_model import CpuModel, CpuWorkload
 from repro.perf.extrapolate import fit_counts, predict, project_stats
 from repro.perf.gpu_model import GpuModel
@@ -39,10 +49,48 @@ class TestCounters:
 
     def test_reset(self):
         stats = ContextStats()
-        stats.shader_compiles = 4
-        stats.draws.append(DrawStats())
+        for f in fields(stats):
+            value = getattr(stats, f.name)
+            if isinstance(value, Counters):
+                for sub in fields(value):
+                    setattr(value, sub.name, 3)
+            elif isinstance(value, list):
+                value.append(DrawStats())
+            else:
+                setattr(stats, f.name, 3)
+        assert stats.disk.lock_skips == 3 and stats.faults.pool_restarts == 3
         stats.reset()
-        assert stats.shader_compiles == 0 and not stats.draws
+        assert not stats.draws
+        assert stats.projected_draw_calls is None
+        counts = {
+            name: value for name, value in stats.snapshot().items()
+            if name not in ("draws", "disk", "faults",
+                            "projected_draw_calls")
+        }
+        counts.update(stats.disk.snapshot())
+        counts.update(stats.faults.snapshot())
+        assert counts and all(value == 0 for value in counts.values())
+
+    @pytest.mark.parametrize(
+        "record", [ContextStats, DiskCacheStats, FaultPathStats, ReplayStats]
+    )
+    def test_snapshot_keys_are_the_declared_fields(self, record):
+        assert list(record().snapshot()) == [f.name for f in fields(record)]
+
+    def test_delta_and_add_round_trip(self):
+        stats = ContextStats()
+        before = stats.snapshot()
+        stats.draws.append(DrawStats(fragment_invocations=5))
+        stats.readback_bytes += 64
+        stats.disk.hits += 2
+        delta = stats.delta(before)
+        assert delta == {
+            "draws": stats.draws, "readback_bytes": 64, "disk": {"hits": 2},
+        }
+        copy = ContextStats()
+        copy.add(delta)
+        assert copy.snapshot() == stats.snapshot()
+        assert stats.delta(stats.snapshot()) == {}
 
 
 class TestMachineParameters:

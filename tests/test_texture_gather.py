@@ -10,8 +10,8 @@ contract:
   kernel (so a rephrasing of the codegen templates that silently loses
   the fast path fails here, per the contract note in
   ``repro.core.codegen.glsl_functions``);
-* gather-on and gather-forced-off JIT runs are bit-identical to each
-  other and to the AST interpreter;
+* JIT runs through the gather path are bit-identical to the AST
+  interpreter;
 * the ``texture_gathers`` / ``gather_fallbacks`` DrawStats counters
   account for every gather-site execution, including when a runtime
   disqualification (wrap/filter/size mismatch, a non-integral or
@@ -30,7 +30,6 @@ from repro import GpgpuDevice
 from repro.core.codegen.templates import generate_kernel_source
 from repro.gles2 import enums as gl
 from repro.gles2 import parallel
-from repro.glsl import jit
 from repro.glsl.interp import compile_shader
 from repro.glsl.ir import compile_ir, static_cost
 from repro.glsl.ir.nodes import Block, Instr
@@ -118,25 +117,19 @@ class TestAnnotation:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: gather on == gather off == AST interpreter.
+# Bit-identity: JIT gather path == AST interpreter.
 # ----------------------------------------------------------------------
-def _run_sum(backend: str, gather: bool = True):
+def _run_sum(backend: str):
     device = GpgpuDevice(float_model="videocore", execution_backend=backend)
     kernel = make_sum_kernel(device, "int32")
     a = np.arange(64, dtype=np.int32) - 7
     b = (np.arange(64, dtype=np.int32) * 3) % 41
     out = device.empty(64, "int32")
-    if gather:
-        kernel(out, {"a": device.array(a), "b": device.array(b)})
-    else:
-        with jit.texture_gather(False):
-            kernel(out, {"a": device.array(a), "b": device.array(b)})
+    kernel(out, {"a": device.array(a), "b": device.array(b)})
     return out.to_host(), device.ctx.stats.draws[-1]
 
 
-def _run_sgemm(
-    backend: str, gather: bool = True, tile_size=None, shade_workers=None
-):
+def _run_sgemm(backend: str, tile_size=None, shade_workers=None):
     device = GpgpuDevice(
         float_model="videocore", execution_backend=backend,
         tile_size=tile_size, shade_workers=shade_workers,
@@ -152,36 +145,28 @@ def _run_sgemm(
         "a": device.array(a), "b": device.array(b), "c0": device.array(c0)
     }
     uniforms = {"u_n": float(n), "u_alpha": 1.0, "u_beta": 1.0}
-    if gather:
-        kernel(out, inputs, uniforms)
-    else:
-        with jit.texture_gather(False):
-            kernel(out, inputs, uniforms)
+    kernel(out, inputs, uniforms)
     return out.to_host(), device.ctx.stats.draws[-1]
 
 
 class TestBitIdentity:
     def test_sum_gather_on_off_ast_identical(self):
-        on, stats_on = _run_sum("jit", gather=True)
-        off, stats_off = _run_sum("jit", gather=False)
-        ref, __ = _run_sum("ast")
-        assert np.array_equal(on, off)
-        assert np.array_equal(on, ref)
-        assert stats_on.texture_gathers > 0
-        assert stats_on.gather_fallbacks == 0
-        assert stats_off.texture_gathers == 0
-        assert stats_off.gather_fallbacks == 0
+        got, stats_jit = _run_sum("jit")
+        ref, stats_ref = _run_sum("ast")
+        assert np.array_equal(got, ref)
+        assert stats_jit.texture_gathers > 0
+        assert stats_jit.gather_fallbacks == 0
+        assert stats_ref.texture_gathers == 0
+        assert stats_ref.gather_fallbacks == 0
 
     def test_sgemm_gather_on_off_ast_identical(self):
-        on, stats_on = _run_sgemm("jit", gather=True)
-        off, stats_off = _run_sgemm("jit", gather=False)
-        ref, __ = _run_sgemm("ast")
-        assert np.array_equal(on, off)
-        assert np.array_equal(on, ref)
+        got, stats_jit = _run_sgemm("jit")
+        ref, stats_ref = _run_sgemm("ast")
+        assert np.array_equal(got, ref)
         # 3 gather sites: two in-loop fetches plus the c0 tail fetch.
-        assert stats_on.texture_gathers > 0
-        assert stats_on.gather_fallbacks == 0
-        assert stats_off.texture_gathers == 0
+        assert stats_jit.texture_gathers > 0
+        assert stats_jit.gather_fallbacks == 0
+        assert stats_ref.texture_gathers == 0
 
 
 # ----------------------------------------------------------------------
@@ -316,25 +301,3 @@ class TestTiledAndWorkers:
             assert stats_tiled.texture_gathers > stats_mono.texture_gathers
             assert (stats_workers.texture_gathers
                     >= stats_mono.texture_gathers)
-
-
-# ----------------------------------------------------------------------
-# The knob.
-# ----------------------------------------------------------------------
-class TestKnob:
-    def test_context_manager_restores_flag(self):
-        assert jit.gather_enabled()
-        with jit.texture_gather(False):
-            assert not jit.gather_enabled()
-            with jit.texture_gather(True):
-                assert jit.gather_enabled()
-            assert not jit.gather_enabled()
-        assert jit.gather_enabled()
-
-    def test_set_returns_previous(self):
-        previous = jit.set_gather_enabled(False)
-        try:
-            assert previous is True
-            assert jit.set_gather_enabled(True) is False
-        finally:
-            jit.set_gather_enabled(True)
